@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exact import QuadNum
+from ..exact.intmat import inverse_unimodular
 from ..toral import HyperbolicToral, PeriodicOrbit, torus_apply
-from . import _kernels
-from ._kernels import BACKEND  # re-export for reports
+
+BACKEND = "python"  # named in reports; there is one exact pure-Python kernel
 
 __all__ = [
     "BACKEND",
@@ -129,6 +130,92 @@ def _integerized_edges(cone: ConeSpec):
     return tuple(out)
 
 
+def _sign(a, b, D):
+    """Sign of a + b sqrt(D) for integers a, b and non-square D."""
+    x = a if a * a > b * b * D else b
+    return (x > 0) - (x < 0)
+
+
+def _floor_quad(u, v, r, D):
+    """floor((u + v sqrt(D)) / r) for integers u, v, r > 0, non-square D.
+
+    floor(v sqrt(D)) is isqrt(v^2 D) for v >= 0 and -isqrt(v^2 D) - 1 for
+    v < 0 (v^2 D is not a square), and flooring it first does not change
+    the floor of the quotient by the integer r."""
+    s = math.isqrt(v * v * D)
+    return (u + (s if v >= 0 else -s - 1)) // r
+
+
+def _half_plane(alpha, gamma, D, den, rxn):
+    """Per-row bound on m for the open half-plane gamma*wx < alpha*wy.
+
+    alpha = a + b sqrt(D), gamma = c + e sqrt(D), wx = m*den + rxn.  Returns
+    a function of wy giving (lo, hi), the admissible m being lo <= m <= hi
+    (an unbounded side is infinite).  With N = c^2 - e^2 D the threshold is
+    wx = (alpha/gamma) wy = ((ac - beD) + (bc - ae) sqrt(D)) wy / N."""
+    (a, b), (c, e) = alpha, gamma
+    N = c * c - e * e * D
+    if N == 0:  # gamma = 0: the row is all in or all out
+        s = _sign(a, b, D)
+        return lambda wy: (-math.inf, math.inf) if s * wy > 0 else (1, 0)
+    t = 1 if N > 0 else -1
+    P, Q, R = t * (a * c - b * e * D), t * (b * c - a * e), t * N
+    r = R * den
+    if _sign(c, e, D) > 0:  # m*den + rxn < threshold: m <= ceil(y) - 1
+        return lambda wy: (
+            -math.inf, -_floor_quad(R * rxn - P * wy, -Q * wy, r, D) - 1)
+    # m*den + rxn > threshold: m >= floor(y) + 1
+    return lambda wy: (
+        _floor_quad(P * wy - R * rxn, Q * wy, r, D) + 1, math.inf)
+
+
+def enumerate_box(coeffs, D, den, rxn, ryn, kmax, want_points=True):
+    """Count (and optionally list) admissible translates up to box kmax.
+
+    coeffs = (A0, B0, C0, E0, A1, B1, C1, E1): the cone edges written as
+    edge0 = (A0 + B0 rt, C0 + E0 rt), edge1 = (A1 + B1 rt, C1 + E1 rt) with
+    rt = sqrt(D), D not a square.  The tested vector is
+    W = (m*den + rxn, n*den + ryn), admissible when det(edge0, W) > 0 and
+    det(W, edge1) > 0.  Both tests are linear in m, so each row n admits
+    one interval of m, found exactly in Q(sqrt D); W = 0 fails both strict
+    tests.  Returns (ring_counts, points): ring_counts[k] counts box length
+    exactly k; points is a list of (m, n), row by row, or None.
+    """
+    if math.isqrt(D) ** 2 == D:
+        raise ValueError("D = %d is a square" % D)
+    A0, B0, C0, E0, A1, B1, C1, E1 = coeffs
+    half_planes = (
+        _half_plane((A0, B0), (C0, E0), D, den, rxn),
+        _half_plane((-A1, -B1), (-C1, -E1), D, den, rxn),
+    )
+    counts = [0] * (kmax + 1)
+    diff = [0] * (kmax + 2)  # ring counts for |m| > |n|, as differences
+    points = [] if want_points else None
+    for n in range(-kmax, kmax + 1):
+        wy = n * den + ryn
+        lo, hi = -kmax, kmax
+        for bound in half_planes:
+            b_lo, b_hi = bound(wy)
+            lo, hi = max(lo, b_lo), min(hi, b_hi)
+        if lo > hi:
+            continue
+        k = abs(n)
+        counts[k] += max(0, min(hi, k) - max(lo, -k) + 1)
+        if hi > k:
+            diff[max(lo, k + 1)] += 1
+            diff[hi + 1] -= 1
+        if lo < -k:
+            diff[-min(hi, -k - 1)] += 1
+            diff[-lo + 1] -= 1
+        if want_points:
+            points.extend((m, n) for m in range(lo, hi + 1))
+    run = 0
+    for k in range(kmax + 1):
+        run += diff[k]
+        counts[k] += run
+    return counts, points
+
+
 @dataclass(frozen=True)
 class ChordGen:
     """One Reeb chord: a cone translate with derived slope and action."""
@@ -194,7 +281,7 @@ def enumerate_chords(H, p, q, sign, k_max, with_chords=True):
     cone = cone_spec(H, sign)
     coeffs = _integerized_edges(cone)
     den, rxn, ryn = _offset_data(p, q)
-    ring_counts, points = _kernels.enumerate_box(
+    ring_counts, points = enumerate_box(
         coeffs, H.D, den, rxn, ryn, k_max, want_points=with_chords
     )
     cum = []
@@ -268,13 +355,14 @@ def enumerate_rational_fibers(H, sign, max_norm):
     """Primitive cone vectors up to box max_norm, with their slopes.
 
     Each primitive (m, n) is a rational Reeb direction, hence a fiber of
-    closed orbits; slopes of distinct primitive vectors are automatically
-    distinct (checked exactly via integer cross products)."""
+    closed orbits.  Slopes of distinct primitive vectors are distinct: the
+    kernel lists each (m, n) once, and two primitive vectors in one open
+    cone narrower than pi that point the same way are equal."""
     if max_norm < 0:
         raise ValueError("max_norm >= 0 required")
     cone = cone_spec(H, sign)
     coeffs = _integerized_edges(cone)
-    ring_counts, points = _kernels.enumerate_box(
+    ring_counts, points = enumerate_box(
         coeffs, H.D, 1, 0, 0, max_norm, want_points=True
     )
     out = []
@@ -283,14 +371,6 @@ def enumerate_rational_fibers(H, sign, max_norm):
             continue
         z, _, _ = chord_slope(H, (m, n), sign)
         out.append((m, n, z))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            mi, ni, _ = out[i]
-            mj, nj, _ = out[j]
-            if mi * nj - mj * ni == 0:
-                raise AssertionError(
-                    "distinct primitive vectors with equal direction"
-                )
     out.sort(key=lambda t: (t[2], t[0], t[1]))
     return out
 
@@ -355,13 +435,9 @@ def class_disjointness(H, box_bound=50):
     on_edge = []
     for sign in (1, -1):
         coeffs = _integerized_edges(cone_spec(H, sign))
-        for ax, bx, cy, ey in (coeffs[:4], coeffs[4:]):
-            # det(edge, (m,n)) = (ax*n - cy*m) + (bx*n - ey*m) sqrt(D):
-            # zero needs both integer components zero
-            for m in range(-box_bound, box_bound + 1):
-                for n in range(-box_bound, box_bound + 1):
-                    if (m or n) and ax * n == cy * m and bx * n == ey * m:
-                        on_edge.append((sign, m, n))
+        for edge in (coeffs[:4], coeffs[4:]):
+            on_edge.extend((sign, m, n) for m, n in
+                           _edge_lattice_points(*edge, box_bound))
     return {
         "disc": cert[0],
         "disc_not_square": cert[1],
@@ -372,6 +448,23 @@ def class_disjointness(H, box_bound=50):
     }
 
 
+def _edge_lattice_points(ax, bx, cy, ey, box):
+    """Nonzero (m, n) in the box on the line of the nonzero edge
+    (ax + bx rt, cy + ey rt), sorted.
+
+    det(edge, (m, n)) = (ax*n - cy*m) + (bx*n - ey*m) sqrt(D) vanishes iff
+    both integer parts do.  A nonzero solution exists only if
+    ax*ey == bx*cy, and the solutions are then the multiples of one
+    primitive vector, (ax, cy) or (bx, ey) reduced."""
+    if ax * ey != bx * cy:
+        return []
+    m0, n0 = (ax, cy) if ax or cy else (bx, ey)
+    g = math.gcd(m0, n0) * (1 if m0 > 0 or (m0 == 0 and n0 > 0) else -1)
+    m0, n0 = m0 // g, n0 // g
+    t = box // max(abs(m0), abs(n0))
+    return [(j * m0, j * n0) for j in range(-t, t + 1) if j]
+
+
 def _is_square(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -379,18 +472,12 @@ def _is_square(n):
 def _all_cone_points(H, sign, box):
     cone = cone_spec(H, sign)
     coeffs = _integerized_edges(cone)
-    _, points = _kernels.enumerate_box(coeffs, H.D, 1, 0, 0, box, True)
+    _, points = enumerate_box(coeffs, H.D, 1, 0, 0, box, True)
     return points
 
 
 def _pow_signed(A, k):
-    if k >= 0:
-        return A.pow(k)
-    (a, b), (c, d) = A.rows
-    from ..exact import IntMatrix
-
-    inv = IntMatrix([[d, -b], [-c, a]])  # valid since det A = 1
-    return inv.pow(-k)
+    return A.pow(k) if k >= 0 else inverse_unimodular(A).pow(-k)
 
 
 def product_candidates(H, c01: ChordGen, c12: ChordGen, orbit1: PeriodicOrbit,

@@ -21,11 +21,18 @@ from fractions import Fraction
 from . import DEFAULT_SEED, __version__
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def _parse_point(text):
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
         raise ValueError("point needs two rationals, got %r" % text)
-    return (Fraction(parts[0]), Fraction(parts[1]))
+    return (_rational(parts[0]), _rational(parts[1]))
 
 
 def _parse_boundary(text):
@@ -37,7 +44,7 @@ def _parse_boundary(text):
         if p.lower() in ("inf", "+inf", "oo"):
             out.append(math.inf)
         else:
-            out.append(float(Fraction(p)))
+            out.append(float(_rational(p)))
     return out
 
 

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity through a different route than the
 primary code path: cellular chain complexes instead of the Wang/Gysin
 formulas, high-precision or plain floating sign tests instead of exact
-quadratic arithmetic, dense sampling instead of circle algebra, and direct
-region integrals instead of boundary integrals.
+quadratic arithmetic, a point-by-point box scan instead of row intervals,
+dense sampling instead of circle algebra, and direct region integrals
+instead of boundary integrals.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from .exact import GradedZModule, IntMatrix
 from .exact.intmat import chain_homology
@@ -174,6 +174,65 @@ def cone_box_area(H, sign, k, grid=1500):
     return float(inside.sum()) * cell
 
 
+# ------------------------------------------------- chord box scan
+
+def _qsign(p, q, D):
+    """Exact sign of p + q*sqrt(D) for integers p, q."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return (q > 0) - (q < 0)
+    if p > 0:
+        if q > 0:
+            return 1
+        t = p * p - q * q * D
+        return 1 if t > 0 else (-1 if t < 0 else 0)
+    if q < 0:
+        return -1
+    t = p * p - q * q * D
+    return -1 if t > 0 else (1 if t < 0 else 0)
+
+
+def _ring(k):
+    if k == 0:
+        yield (0, 0)
+        return
+    for m in range(-k, k + 1):
+        yield (m, -k)
+        yield (m, k)
+    for n in range(-k + 1, k):
+        yield (-k, n)
+        yield (k, n)
+
+
+def chord_box_scan(coeffs, D, den, rxn, ryn, kmax, want_points=True):
+    """Reference for chords.enumerate_box: test every box point one by one.
+
+    Candidates live on box rings max(|m|,|n|) = k and are tested against
+    the two cone edges by the exact sign of an integer element
+    p + q*sqrt(D).  Same arguments and result as chords.enumerate_box,
+    with points listed ring by ring."""
+    A0, B0, C0, E0, A1, B1, C1, E1 = coeffs
+    counts = [0] * (kmax + 1)
+    points = [] if want_points else None
+    for k in range(kmax + 1):
+        c = 0
+        for m, n in _ring(k):
+            wx = m * den + rxn
+            wy = n * den + ryn
+            if wx == 0 and wy == 0:
+                continue
+            if _qsign(A0 * wy - C0 * wx, B0 * wy - E0 * wx, D) <= 0:
+                continue
+            if _qsign(C1 * wx - A1 * wy, E1 * wx - B1 * wy, D) <= 0:
+                continue
+            c += 1
+            if want_points:
+                points.append((m, n))
+        counts[k] = c
+    return counts, points
+
+
 # --------------------------------------------------- triangle sampling
 
 def _sample_geodesic(g, n):
@@ -244,12 +303,15 @@ def triangle_count_sampled(g0, g1, g2, ell1, K):
 
 
 # ------------------------------------------------------ region areas
+# scipy.integrate is imported by these two oracles only: at import it costs
+# about 50 MB of resident memory that every other oracle caller would pay.
 
 def disk_weighted_area(rho, x0=0.0, y0=0.0):
     """Direct 2-D integral of 1/(1-y^2) over a disk (x-slab integrated
     exactly, then 1-D quadrature in y)."""
     if abs(y0) + rho >= 1.0:
         raise ValueError("disk must stay inside the strip |y| < 1")
+    from scipy.integrate import quad
 
     def slab(y):
         half = math.sqrt(max(rho * rho - (y - y0) ** 2, 0.0))
@@ -262,6 +324,8 @@ def disk_weighted_area(rho, x0=0.0, y0=0.0):
 
 def stadium_weighted_area_direct(seg_length, h):
     """Direct 2-D integral over the stadium region by horizontal slabs."""
+    from scipy.integrate import quad
+
     L = seg_length
 
     def width(y):

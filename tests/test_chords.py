@@ -1,13 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from anosovlab.acceptance import MATRIX_BATTERY
 from anosovlab.chords import (
     IncompatibleEndpoints,
     MismatchedMonodromy,
     OutsideCone,
     ZeroVector,
+    _edge_lattice_points,
     chord_slope,
     class_disjointness,
     cone_contains,
@@ -103,6 +106,13 @@ def test_fibers_empty_and_counts():
     assert len(fibers) == len(prim)
     zs = [z for _, _, z in fibers]
     assert len(set(zs)) == len(zs)
+    # distinct primitive vectors never share a direction
+    for A in MATRIX_BATTERY:
+        for sign in (+1, -1):
+            vs = enumerate_rational_fibers(eigen_data(A), sign, 8)
+            for i, (mi, ni, _) in enumerate(vs):
+                for mj, nj, _ in vs[i + 1:]:
+                    assert mi * nj - mj * ni != 0
 
 
 def test_quadratic_growth_battery():
@@ -150,6 +160,23 @@ def test_homotopy_class_and_disjointness():
     assert rep["disjoint"]
     assert rep["disc_not_square"]
     assert rep["overlap"] == [] and rep["edge_lattice_points"] == []
+
+
+def test_edge_lattice_points_vs_scan():
+    rng = random.Random(3)
+    for _ in range(300):
+        # half the edges are rational (ax*ey == bx*cy) and do hit the lattice
+        ax, cy = rng.randint(-4, 4), rng.randint(-4, 4)
+        t = rng.choice([0, 1, -2, 3]) if rng.random() < 0.5 else None
+        bx, ey = (t * ax, t * cy) if t is not None else (rng.randint(-4, 4),
+                                                       rng.randint(-4, 4))
+        if not (ax or bx or cy or ey):
+            continue
+        box = rng.randint(0, 9)
+        ref = [(m, n) for m in range(-box, box + 1)
+               for n in range(-box, box + 1)
+               if (m or n) and ax * n == cy * m and bx * n == ey * m]
+        assert _edge_lattice_points(ax, bx, cy, ey, box) == ref
 
 
 def test_disjointness_battery_box50():

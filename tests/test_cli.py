@@ -39,6 +39,10 @@ def test_exit_codes():
     assert code == 2  # not hyperbolic: usage-level error
     assert main(["nonsense"]) == 2
     assert main(["toral", "orbits", "--matrix", "2 1 1 1", "--bogus"]) == 2
+    # a zero denominator in a point literal is a usage error
+    assert main(["chords", "enumerate", "--matrix", "2 1 1 1", "--p", "0 0",
+                 "--q", "1/0 2/5", "--kmax", "3"]) == 2
+    assert main(["hyperbolic", "ortho", "--g1", "1/0 2"]) == 2
 
 
 def test_json_round_trip():

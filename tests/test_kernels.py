@@ -1,20 +1,16 @@
-"""Compiled kernel vs pure-Python kernel equivalence."""
+"""Row-interval chord kernel vs the point-by-point box scan oracle."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anosovlab.chords import _kernels, _kernels_py
-from anosovlab.chords import cone_spec, _integerized_edges
+from anosovlab.chords import cone_spec, enumerate_box, _integerized_edges
+from anosovlab.exact import IntMatrix
+from anosovlab.exact.intmat import inverse_unimodular
+from anosovlab.oracles import _qsign, chord_box_scan
 from anosovlab.toral import eigen_data, parse_matrix
-
-try:
-    from anosovlab.chords import _speedups
-except ImportError:
-    _speedups = None
-
-needs_ext = pytest.mark.skipif(_speedups is None,
-                               reason="compiled kernel not built")
 
 
 def _cases():
@@ -31,35 +27,74 @@ def _cases():
     return out
 
 
-@needs_ext
-def test_kernels_agree():
-    for coeffs, D, den, rxn, ryn, kmax in _cases():
-        c1, p1 = _speedups.enumerate_box(coeffs, D, den, rxn, ryn, kmax, True)
-        c2, p2 = _kernels_py.enumerate_box(coeffs, D, den, rxn, ryn, kmax, True)
-        assert list(c1) == list(c2)
-        assert sorted(p1) == sorted(p2)
-
-
-def test_counts_only_mode():
-    coeffs, D, den, rxn, ryn, kmax = _cases()[0]
-    c1, p1 = _kernels_py.enumerate_box(coeffs, D, den, rxn, ryn, kmax, False)
-    c2, p2 = _kernels_py.enumerate_box(coeffs, D, den, rxn, ryn, kmax, True)
-    assert p1 is None and list(c1) == list(c2)
-
-
-def test_dispatcher_falls_back_on_big_inputs():
-    # coefficients past the machine-word guard must route to pure Python
-    big = 2**70
-    coeffs = (big, 0, 0, 1, 1, 0, 0, big)
-    counts, pts = _kernels.enumerate_box(coeffs, 5, 1, 0, 0, 3, True)
-    ref, ref_pts = _kernels_py.enumerate_box(coeffs, 5, 1, 0, 0, 3, True)
+def _assert_agree(coeffs, D, den, rxn, ryn, kmax):
+    counts, pts = enumerate_box(coeffs, D, den, rxn, ryn, kmax, True)
+    ref, ref_pts = chord_box_scan(coeffs, D, den, rxn, ryn, kmax, True)
     assert list(counts) == list(ref)
     assert sorted(pts) == sorted(ref_pts)
 
 
-def test_qsign_pure():
-    from anosovlab.chords._kernels_py import _qsign
+def test_kernels_agree():
+    for case in _cases():
+        _assert_agree(*case)
 
+
+_L = IntMatrix([[1, 0], [1, 1]])
+_R = IntMatrix([[1, 1], [0, 1]])
+_GENS = (_L, _R, IntMatrix([[1, 0], [-1, 1]]), IntMatrix([[1, -1], [0, 1]]))
+
+
+@st.composite
+def _hyperbolic(draw):
+    """A word in L, R using both (trace > 2), conjugated in SL(2,Z)."""
+    word = draw(st.lists(st.sampled_from((_L, _R)), min_size=2, max_size=6)
+                .filter(lambda w: _L in w and _R in w))
+    conj = draw(st.lists(st.sampled_from(_GENS), max_size=3))
+    A = IntMatrix.identity(2)
+    for g in word:
+        A = A * g
+    P = IntMatrix.identity(2)
+    for g in conj:
+        P = P * g
+    return P * A * inverse_unimodular(P)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(A=_hyperbolic(), sign=st.sampled_from((1, -1)),
+       den=st.integers(1, 7), off=st.tuples(st.integers(-21, 21),
+                                            st.integers(-21, 21)),
+       kmax=st.integers(0, 40))
+def test_row_kernel_matches_box_scan(A, sign, den, off, kmax):
+    H = eigen_data(A)
+    coeffs = _integerized_edges(cone_spec(H, sign))
+    _assert_agree(coeffs, H.D, den, off[0], off[1], kmax)
+
+
+def test_counts_only_mode():
+    coeffs, D, den, rxn, ryn, kmax = _cases()[0]
+    c1, p1 = enumerate_box(coeffs, D, den, rxn, ryn, kmax, False)
+    c2, p2 = enumerate_box(coeffs, D, den, rxn, ryn, kmax, True)
+    assert p1 is None and list(c1) == list(c2)
+
+
+def test_big_coefficients_exact():
+    # products far past 64 bits stay exact in Python integers
+    big = 2**70
+    _assert_agree((big, 0, 0, 1, 1, 0, 0, big), 5, 1, 0, 0, 3)
+
+
+def test_axis_parallel_edge():
+    # edge0 = (1, 0): the half-plane test does not depend on m at all
+    for sign in (1, -1):
+        _assert_agree((sign, 0, 0, 0, 0, 1, sign, 1), 5, 3, 1, 0, 9)
+
+
+def test_square_discriminant_rejected():
+    with pytest.raises(ValueError):
+        enumerate_box((1, 0, 0, 1, 1, 0, 0, 2), 4, 1, 0, 0, 3)
+
+
+def test_qsign_pure():
     assert _qsign(0, 0, 5) == 0
     assert _qsign(3, 0, 5) == 1
     assert _qsign(0, -2, 5) == -1
