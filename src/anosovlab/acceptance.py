@@ -1,14 +1,15 @@
 """The acceptance battery: one callable per criterion, oracle-backed.
 
-Each criterion returns {"name", "pass", "details", "elapsed_s"}.  The
-battery is what `anosovlab suite acceptance` runs and what the dedicated
-test module asserts, one line per criterion.
+Each criterion returns {"pass", "details"}; run_all adds "name" and
+"elapsed_s".  The battery is what `anosovlab suite acceptance` runs and what
+the dedicated test module asserts, one line per criterion.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 
 from . import oracles
@@ -449,7 +450,8 @@ CRITERIA = [
 
 
 def run_all(verbose=True):
-    """Run every criterion; returns the list of result dicts."""
+    """Run every criterion; returns the list of result dicts.  Progress
+    lines go to stderr, so stdout carries only the caller's report."""
     results = []
     for fn in CRITERIA:
         t0 = time.time()
@@ -463,6 +465,7 @@ def run_all(verbose=True):
         if verbose:
             print(
                 "%-48s %s  (%.2fs)"
-                % (res["name"], "PASS" if res["pass"] else "FAIL", res["elapsed_s"])
+                % (res["name"], "PASS" if res["pass"] else "FAIL", res["elapsed_s"]),
+                file=sys.stderr,
             )
     return results

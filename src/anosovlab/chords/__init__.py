@@ -274,6 +274,14 @@ def _offset_data(p, q):
     return den, int(rx * den), int(ry * den)
 
 
+def _chord(H, w, m, n, sign, source, target):
+    """The chord with translate (m, n) whose displacement vector is w."""
+    z, _, _ = chord_slope(H, w, sign)
+    return ChordGen(m=m, n=n, sign=sign, source=source, target=target, z=z,
+                    box=max(abs(m), abs(n)),
+                    action=math.hypot(float(w[0]), float(w[1])))
+
+
 def enumerate_chords(H, p, q, sign, k_max, with_chords=True):
     """All chords from p to q with box length <= k_max on the given end."""
     if k_max < 0:
@@ -293,22 +301,8 @@ def enumerate_chords(H, p, q, sign, k_max, with_chords=True):
     if with_chords:
         p = (Fraction(p[0]), Fraction(p[1]))
         q = (Fraction(q[0]), Fraction(q[1]))
-        built = []
-        for m, n in points:
-            w = (q[0] + m - p[0], q[1] + n - p[1])
-            z, _, _ = chord_slope(H, w, sign)
-            built.append(
-                ChordGen(
-                    m=m,
-                    n=n,
-                    sign=sign,
-                    source=p,
-                    target=q,
-                    z=z,
-                    box=max(abs(m), abs(n)),
-                    action=math.hypot(float(w[0]), float(w[1])),
-                )
-            )
+        built = [_chord(H, (q[0] + m - p[0], q[1] + n - p[1]), m, n, sign, p, q)
+                 for m, n in points]
         built.sort(key=lambda c: (c.box, c.m, c.n))
         chords = tuple(built)
     return FilteredChordSet(
@@ -554,21 +548,6 @@ def product_candidates(H, c01: ChordGen, c12: ChordGen, orbit1: PeriodicOrbit,
                  w_red[1] - (target[1] - source[1]))
         m, n = int(trans[0]), int(trans[1])
         assert trans[0] == m and trans[1] == n
-        z, _, _ = chord_slope(H, w_red, sign)
-        out.append(
-            (
-                k,
-                ChordGen(
-                    m=m,
-                    n=n,
-                    sign=sign,
-                    source=source,
-                    target=target,
-                    z=z,
-                    box=max(abs(m), abs(n)),
-                    action=math.hypot(float(w_red[0]), float(w_red[1])),
-                ),
-            )
-        )
+        out.append((k, _chord(H, w_red, m, n, sign, source, target)))
         k += size
     return out

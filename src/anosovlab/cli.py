@@ -3,7 +3,9 @@
 Every run emits a deterministic report (JSON with sorted keys or CSV);
 pass/fail checks drive the exit status: 0 all pass, 1 any failure, 2 usage
 errors.  Randomness only enters through --seed (default 7, overridable via
-ANOSOVLAB_SEED).
+ANOSOVLAB_SEED).  COMMANDS, at the end, is the one place that names each
+subcommand, its flags and, per action, the handler, the report parameters
+and the report command.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ def _parse_boundary(text):
     return out
 
 
+def _positive_int(text):
+    """argparse type for sample counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
+    return value
+
+
 def _fr(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
@@ -55,13 +68,8 @@ def _fr(x):
 def _jsonable(obj):
     import numpy as np
 
-    from .exact import GradedZModule
-    from .homology import HochschildTable
-
     if isinstance(obj, Fraction):
         return _fr(obj)
-    if isinstance(obj, (GradedZModule, HochschildTable)):
-        return obj.to_dict()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -109,11 +117,11 @@ def emit(report, fmt="json"):
     raise ValueError("unknown format %r" % fmt)
 
 
-def _finish(report, args, checks=None):
-    report["checks"] = checks or []
-    report["pass"] = all(c.get("pass", True) for c in report["checks"])
-    if getattr(args, "timing", False):
-        report["wall_time_ms"] = round(1000 * (time.time() - args._t0), 3)
+def _finish(report, checks, args, t0):
+    report["checks"] = checks
+    report["pass"] = all(c.get("pass", True) for c in checks)
+    if args.timing:
+        report["wall_time_ms"] = round(1000 * (time.time() - t0), 3)
     data = emit(report, args.format)
     if args.output:
         with open(args.output, "wb") as fh:
@@ -124,310 +132,269 @@ def _finish(report, args, checks=None):
 
 
 # ----------------------------------------------------------- handlers
+# Each handler returns (report fields, checks).  A "params" entry among the
+# fields is merged into the parameters COMMANDS names for the action.
 
-def cmd_toral(args):
-    from .toral import eigen_data, fixed_points, orbit_count_identity, \
-        orbits_up_to_period, parse_matrix
-
-    A = parse_matrix(args.matrix)
-    H = eigen_data(A)
-    report = {"command": "toral %s" % args.action,
-              "params": {"matrix": args.matrix}}
-    checks = []
-    if args.action == "eigen":
-        report["results"] = {
-            "trace": A.trace(),
-            "D": H.D,
-            "lambda_plus": repr(H.lambda_plus),
-            "nu": H.nu,
-            "vx": [repr(c) for c in H.vx],
-            "vy": [repr(c) for c in H.vy],
-        }
-        res = H.check_residuals()
-        exact = all(c.is_zero() for pair in res for c in pair)
-        checks.append({"name": "eigen-residual-exactly-zero", "pass": exact})
-    elif args.action == "fixed":
-        pts = fixed_points(A, args.n)
-        expected = orbit_count_identity(A, args.n)
-        report["params"]["n"] = args.n
-        report["results"] = [{"x": _fr(p[0]), "y": _fr(p[1])} for p in pts]
-        checks.append(
-            {"name": "count-equals-trace-identity", "pass": len(pts) == expected,
-             "count": len(pts), "expected": expected}
-        )
-    else:  # orbits
-        orbits = orbits_up_to_period(A, args.N)
-        report["params"]["N"] = args.N
-        report["results"] = [
-            {"period": o.period,
-             "points": ["%s %s" % (_fr(p[0]), _fr(p[1])) for p in o.points]}
-            for o in orbits
-        ]
-        ok = True
-        for n in range(1, args.N + 1):
-            lhs = sum(
-                d * sum(1 for o in orbits if o.period == d)
-                for d in range(1, n + 1)
-                if n % d == 0
-            )
-            ok = ok and lhs == orbit_count_identity(A, n)
-        checks.append({"name": "orbit-counting-identity", "pass": ok})
-    return _finish(report, args, checks)
-
-
-def cmd_chords(args):
+def _hyperbolic_matrix(args):
     from .toral import eigen_data, parse_matrix
-    from .chords import BACKEND, enumerate_chords, enumerate_rational_fibers
 
     A = parse_matrix(args.matrix)
-    H = eigen_data(A)
-    sign = +1 if args.sign == "+" else -1
-    if args.action == "enumerate":
-        p = _parse_point(args.p)
-        q = _parse_point(args.q)
-        cs = enumerate_chords(H, p, q, sign, args.kmax)
-        report = {
-            "command": "chords enumerate",
-            "params": {"matrix": args.matrix, "p": args.p, "q": args.q,
-                       "sign": args.sign, "kmax": args.kmax,
-                       "backend": BACKEND},
-            "chords": [c.to_dict() for c in cs.chords],
-            "counts_by_k": list(cs.counts_by_k),
-        }
-        mono = all(
-            a <= b for a, b in zip(cs.counts_by_k, cs.counts_by_k[1:])
-        )
-        checks = [{"name": "filtration-monotone", "pass": mono}]
-        return _finish(report, args, checks)
-    # fibers
-    fibers = enumerate_rational_fibers(H, sign, args.max_norm)
-    report = {
-        "command": "chords fibers",
-        "params": {"matrix": args.matrix, "sign": args.sign,
-                   "max_norm": args.max_norm},
-        "results": [{"m": m, "n": n, "z": z} for m, n, z in fibers],
+    return A, eigen_data(A)
+
+
+def _toral_eigen(args):
+    A, H = _hyperbolic_matrix(args)
+    results = {
+        "trace": A.trace(),
+        "D": H.D,
+        "lambda_plus": repr(H.lambda_plus),
+        "nu": H.nu,
+        "vx": [repr(c) for c in H.vx],
+        "vy": [repr(c) for c in H.vy],
     }
+    exact = all(c.is_zero() for pair in H.check_residuals() for c in pair)
+    return ({"results": results},
+            [{"name": "eigen-residual-exactly-zero", "pass": exact}])
+
+
+def _toral_fixed(args):
+    from .toral import fixed_points, orbit_count_identity
+
+    A, _ = _hyperbolic_matrix(args)
+    pts = fixed_points(A, args.n)
+    expected = orbit_count_identity(A, args.n)
+    return ({"results": [{"x": _fr(p[0]), "y": _fr(p[1])} for p in pts]},
+            [{"name": "count-equals-trace-identity", "pass": len(pts) == expected,
+              "count": len(pts), "expected": expected}])
+
+
+def _toral_orbits(args):
+    from .toral import orbit_count_identity, orbits_up_to_period
+
+    A, _ = _hyperbolic_matrix(args)
+    orbits = orbits_up_to_period(A, args.N)
+    results = [
+        {"period": o.period,
+         "points": ["%s %s" % (_fr(p[0]), _fr(p[1])) for p in o.points]}
+        for o in orbits
+    ]
+    ok = True
+    for n in range(1, args.N + 1):
+        lhs = sum(
+            d * sum(1 for o in orbits if o.period == d)
+            for d in range(1, n + 1)
+            if n % d == 0
+        )
+        ok = ok and lhs == orbit_count_identity(A, n)
+    return {"results": results}, [{"name": "orbit-counting-identity", "pass": ok}]
+
+
+def _chords_enumerate(args):
+    from .chords import BACKEND, enumerate_chords
+
+    _, H = _hyperbolic_matrix(args)
+    sign = +1 if args.sign == "+" else -1
+    cs = enumerate_chords(H, _parse_point(args.p), _parse_point(args.q), sign,
+                          args.kmax)
+    mono = all(a <= b for a, b in zip(cs.counts_by_k, cs.counts_by_k[1:]))
+    return ({"params": {"backend": BACKEND},
+             "chords": [c.to_dict() for c in cs.chords],
+             "counts_by_k": list(cs.counts_by_k)},
+            [{"name": "filtration-monotone", "pass": mono}])
+
+
+def _chords_fibers(args):
+    from .chords import enumerate_rational_fibers
+
+    _, H = _hyperbolic_matrix(args)
+    sign = +1 if args.sign == "+" else -1
+    fibers = enumerate_rational_fibers(H, sign, args.max_norm)
     distinct = len({(m, n) for m, n, _ in fibers}) == len(fibers)
-    checks = [{"name": "primitive-distinct", "pass": distinct}]
-    return _finish(report, args, checks)
+    return ({"results": [{"m": m, "n": n, "z": z} for m, n, z in fibers]},
+            [{"name": "primitive-distinct", "pass": distinct}])
 
 
-def cmd_hw(args):
-    report = {"command": "hw %s" % args.action, "params": {}}
-    checks = []
-    if args.action == "mcduff":
-        from .surface import ConjClass, FuchsianRep, SurfacePresentation, \
-            mcduff_hw_generators, parse_word
+def _hw_mcduff(args):
+    from .surface import ConjClass, FuchsianRep, SurfacePresentation, \
+        mcduff_hw_generators, parse_word
 
-        pres = SurfacePresentation(args.genus)
-        if args.genus != 2:
-            raise ValueError("built-in Fuchsian data covers genus 2 only")
-        rep = FuchsianRep(pres)
-        gamma = ConjClass(pres, pres.class_key(parse_word(args.gamma)))
-        beta = ConjClass(pres, pres.class_key(parse_word(args.beta)))
-        out = mcduff_hw_generators(gamma, beta, rep, word_len=min(args.L, 5),
-                                   t_cutoff=args.T)
-        report["params"] = {"genus": args.genus, "gamma": args.gamma,
-                            "beta": args.beta, "L": args.L, "T": args.T,
-                            "word_len_used": min(args.L, 5)}
-        report["results"] = out
-        checks.append({"name": "relator-residual", "pass":
-                       rep.relator_residual < 1e-8,
-                       "residual": rep.relator_residual})
-    else:  # torus
-        from .toral import eigen_data, orbits_up_to_period, parse_matrix
-        from .chords import hw_rank_table
-
-        A = parse_matrix(args.matrix)
-        H = eigen_data(A)
-        orbits = orbits_up_to_period(A, args.N)
-        i, j = args.orbit1, args.orbit2
-        if not (0 <= i < len(orbits) and 0 <= j < len(orbits)):
-            raise ValueError(
-                "orbit indices out of range (found %d orbits)" % len(orbits)
-            )
-        out = hw_rank_table(H, orbits[i], orbits[j], args.kmax)
-        report["params"] = {"matrix": args.matrix, "N": args.N,
-                            "orbit1": i, "orbit2": j, "kmax": args.kmax}
-        report["results"] = out
-        checks.append({"name": "rank-nonnegative", "pass": out["total_rank"] >= 0})
-    return _finish(report, args, checks)
+    pres = SurfacePresentation(args.genus)
+    if args.genus != 2:
+        raise ValueError("built-in Fuchsian data covers genus 2 only")
+    rep = FuchsianRep(pres)
+    gamma = ConjClass(pres, pres.class_key(parse_word(args.gamma)))
+    beta = ConjClass(pres, pres.class_key(parse_word(args.beta)))
+    word_len = min(args.L, 5)
+    out = mcduff_hw_generators(gamma, beta, rep, word_len=word_len,
+                               t_cutoff=args.T)
+    return ({"params": {"word_len_used": word_len}, "results": out},
+            [{"name": "relator-residual", "pass": rep.relator_residual < 1e-8,
+              "residual": rep.relator_residual}])
 
 
-def cmd_homology(args):
-    from .homology import (
-        circle_bundle_cohomology,
-        hh_c_ranks,
-        hochschild_dual_numbers,
-        mapping_torus_cohomology,
-        sh_mcduff,
-        sh_torus_bundle,
-    )
+def _hw_torus(args):
+    from .toral import orbits_up_to_period
+    from .chords import hw_rank_table
 
-    checks = []
-    if args.action == "mapping-torus":
-        from .toral import parse_matrix
-
-        A = parse_matrix(args.matrix)
-        table = mapping_torus_cohomology(A)
-        report = {"command": "homology mapping-torus",
-                  "params": {"matrix": args.matrix}, "results": table}
-        checks.append({"name": "poincare-symmetry", "pass": all(
-            table.free_rank(k) == table.free_rank(3 - k) for k in range(4))})
-        checks.append({"name": "euler-characteristic-zero",
-                       "pass": table.euler_characteristic() == 0})
-    elif args.action == "circle-bundle":
-        table = circle_bundle_cohomology(args.genus)
-        report = {"command": "homology circle-bundle",
-                  "params": {"genus": args.genus}, "results": table}
-        checks.append({"name": "euler-characteristic-zero",
-                       "pass": table.euler_characteristic() == 0})
-    elif args.action == "hochschild":
-        table = hochschild_dual_numbers(args.N)
-        if args.orbits is not None:
-            table = hh_c_ranks(args.orbits, args.N)
-        report = {"command": "homology hochschild",
-                  "params": {"N": args.N, "orbits": args.orbits},
-                  "results": table,
-                  "total_rank": table.total_rank()}
-        checks.append({"name": "support-degrees-0-1", "pass": all(
-            d in (0, 1) for d in table.total_degree_support())})
-    elif args.action == "sh-torus":
-        from .toral import parse_matrix
-
-        A = parse_matrix(args.matrix)
-        out = sh_torus_bundle(A, args.max_norm)
-        report = {"command": "homology sh-torus",
-                  "params": {"matrix": args.matrix, "max_norm": args.max_norm},
-                  "results": out}
-        checks.append({"name": "side-blocks-match-fibers", "pass":
-                       out["plus_block"].free_rank(0) == out["plus_fiber_count"]
-                       and out["minus_block"].free_rank(0) == out["minus_fiber_count"]})
-    else:  # sh-mcduff
-        classes = [c for c in (args.classes or "").replace(",", " ").split() if c]
-        if args.genus == 2:
-            from .surface import SurfacePresentation, parse_word
-
-            pres = SurfacePresentation(2)
-            for c in classes:
-                if pres.is_trivial(parse_word(c)):
-                    raise ValueError("class %r is trivial in the surface group" % c)
-        out = sh_mcduff(args.genus, args.tmax, classes)
-        report = {"command": "homology sh-mcduff",
-                  "params": {"genus": args.genus, "tmax": args.tmax,
-                             "classes": classes},
-                  "results": out}
-        checks.append({"name": "positive-block-matches-classes", "pass":
-                       out["positive_block"].free_rank(0) == len(classes)})
-    return _finish(report, args, checks)
+    A, H = _hyperbolic_matrix(args)
+    orbits = orbits_up_to_period(A, args.N)
+    i, j = args.orbit1, args.orbit2
+    if not (0 <= i < len(orbits) and 0 <= j < len(orbits)):
+        raise ValueError(
+            "orbit indices out of range (found %d orbits)" % len(orbits)
+        )
+    out = hw_rank_table(H, orbits[i], orbits[j], args.kmax)
+    return ({"results": out},
+            [{"name": "rank-nonnegative", "pass": out["total_rank"] >= 0}])
 
 
-def cmd_sh(args):
-    # alias surface: sh torus ... == homology sh-torus ...
-    args.action = "sh-torus" if args.action == "torus" else "sh-mcduff"
-    return cmd_homology(args)
+def _homology_mapping_torus(args):
+    from .homology import mapping_torus_cohomology
+    from .toral import parse_matrix
+
+    table = mapping_torus_cohomology(parse_matrix(args.matrix))
+    return ({"results": table},
+            [{"name": "poincare-symmetry", "pass": all(
+                table.free_rank(k) == table.free_rank(3 - k) for k in range(4))},
+             {"name": "euler-characteristic-zero",
+              "pass": table.euler_characteristic() == 0}])
 
 
-def cmd_forms(args):
+def _homology_circle_bundle(args):
+    from .homology import circle_bundle_cohomology
+
+    table = circle_bundle_cohomology(args.genus)
+    return ({"results": table},
+            [{"name": "euler-characteristic-zero",
+              "pass": table.euler_characteristic() == 0}])
+
+
+def _homology_hochschild(args):
+    from .homology import hh_c_ranks, hochschild_dual_numbers
+
+    table = hochschild_dual_numbers(args.N)
+    if args.orbits is not None:
+        table = hh_c_ranks(args.orbits, args.N)
+    return ({"results": table, "total_rank": table.total_rank()},
+            [{"name": "support-degrees-0-1", "pass": all(
+                d in (0, 1) for d in table.total_degree_support())}])
+
+
+def _homology_sh_torus(args):
+    from .homology import sh_torus_bundle
+    from .toral import parse_matrix
+
+    out = sh_torus_bundle(parse_matrix(args.matrix), args.max_norm)
+    return ({"results": out},
+            [{"name": "side-blocks-match-fibers", "pass":
+              out["plus_block"].free_rank(0) == out["plus_fiber_count"]
+              and out["minus_block"].free_rank(0) == out["minus_fiber_count"]}])
+
+
+def _homology_sh_mcduff(args):
+    from .homology import sh_mcduff
+
+    classes = (args.classes or "").replace(",", " ").split()
+    if args.genus == 2:
+        from .surface import SurfacePresentation, parse_word
+
+        pres = SurfacePresentation(2)
+        for c in classes:
+            if pres.is_trivial(parse_word(c)):
+                raise ValueError("class %r is trivial in the surface group" % c)
+    out = sh_mcduff(args.genus, args.tmax, classes)
+    return ({"params": {"classes": classes}, "results": out},
+            [{"name": "positive-block-matches-classes", "pass":
+              out["positive_block"].free_rank(0) == len(classes)}])
+
+
+_SUITES = ("torus-bundle", "mcduff-fermi", "mcduff-halfplane", "covers")
+
+
+def _forms_check(args):
     from .forms import run_suite
 
-    suites = (
-        ["torus-bundle", "mcduff-fermi", "mcduff-halfplane", "covers"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    checks = []
-    for s in suites:
-        checks.extend(run_suite(s, samples=args.samples, tol=args.tol,
-                                seed=args.seed))
-    report = {"command": "forms check",
-              "params": {"suite": args.suite, "tol": args.tol,
-                         "samples": args.samples, "seed": args.seed},
-              "results": checks}
-    return _finish(report, args, checks)
+    suites = _SUITES if args.suite == "all" else (args.suite,)
+    checks = [c for s in suites
+              for c in run_suite(s, samples=args.samples, tol=args.tol,
+                                 seed=args.seed)]
+    return {"results": checks}, checks
 
 
-def cmd_hyperbolic(args):
-    from .hyperbolic import Geodesic, orthogeodesic, triangle_enumerate
+def _hyperbolic_triangles(args):
+    from .hyperbolic import Geodesic, triangle_enumerate
 
-    checks = []
-    if args.action == "triangles":
-        g0 = Geodesic(*_parse_boundary(args.g0))
-        g1 = Geodesic(*_parse_boundary(args.g1))
-        g2 = Geodesic(*_parse_boundary(args.g2))
-        pats = triangle_enumerate(g0, g1, g2, args.l1, args.K)
-        report = {
-            "command": "hyperbolic triangles",
-            "params": {"g0": args.g0, "g1": args.g1, "g2": args.g2,
-                       "l1": args.l1, "K": args.K},
-            "results": [
+    g0 = Geodesic(*_parse_boundary(args.g0))
+    g1 = Geodesic(*_parse_boundary(args.g1))
+    g2 = Geodesic(*_parse_boundary(args.g2))
+    pats = triangle_enumerate(g0, g1, g2, args.l1, args.K)
+    return ({"results": [
                 {"k": p.k, "angle_sum": p.angle_sum, "area": p.area,
                  "vertices": [[v.real, v.imag] for v in p.vertices]}
                 for p in pats
             ],
-            "count": len(pats),
-            "window_caveat": "count covers translate exponents |k| <= K only",
-        }
-        checks.append({"name": "gauss-bonnet-positive",
-                       "pass": all(p.area > 0 for p in pats)})
-    else:  # ortho
-        g1 = Geodesic(*_parse_boundary(args.g1))
-        g2 = Geodesic(*_parse_boundary(args.g2))
-        ch = orthogeodesic(g1, g2)
-        report = {
-            "command": "hyperbolic ortho",
-            "params": {"g1": args.g1, "g2": args.g2},
-            "results": {"length": ch.length,
-                        "foot1": [ch.foot1.real, ch.foot1.imag],
-                        "foot2": [ch.foot2.real, ch.foot2.imag]},
-        }
-        checks.append({"name": "length-positive", "pass": ch.length > 0})
-    return _finish(report, args, checks)
+             "count": len(pats),
+             "window_caveat": "count covers translate exponents |k| <= K only"},
+            [{"name": "gauss-bonnet-positive",
+              "pass": all(p.area > 0 for p in pats)}])
 
 
-def cmd_torus_curve(args):
+def _hyperbolic_ortho(args):
+    from .hyperbolic import Geodesic, orthogeodesic
+
+    ch = orthogeodesic(Geodesic(*_parse_boundary(args.g1)),
+                       Geodesic(*_parse_boundary(args.g2)))
+    return ({"results": {"length": ch.length,
+                         "foot1": [ch.foot1.real, ch.foot1.imag],
+                         "foot2": [ch.foot2.real, ch.foot2.imag]}},
+            [{"name": "length-positive", "pass": ch.length > 0}])
+
+
+def _exactness_checks(ver, tol):
+    area = abs(ver["weighted_area"] - 2 * math.pi)
+    pointwise = ver["pointwise_residual"]
+    period = abs(ver["period_residual"])
+    return [
+        {"name": "weighted-area-2pi", "max_residual": area, "pass": area < tol},
+        {"name": "pointwise-exactness", "max_residual": pointwise,
+         "pass": pointwise < 1e-12},
+        {"name": "period-residual", "max_residual": period, "pass": period < tol},
+    ]
+
+
+def _torus_curve_build(args):
     import numpy as np
 
-    from .shapes import build_exact_beta, stadium_curve, verify_exactness, \
-        weighted_area
+    from .shapes import build_exact_beta, verify_exactness
 
-    if args.action == "build":
-        curve = build_exact_beta(args.delta, args.height_frac, tol=args.tol)
-        ver = verify_exactness(curve)
-        ss = np.linspace(0.0, curve.period, args.samples, endpoint=False)
-        payload = {
-            "family": curve.meta["family"],
-            "delta": args.delta,
-            "height_frac": args.height_frac,
-            "h": curve.meta["h"],
-            "seg_length": curve.meta["seg_length"],
-            "period": curve.period,
-            "samples": {
-                "s": [float(s) for s in ss],
-                "f": [curve.f(s) for s in ss],
-                "g": [curve.g(s) for s in ss],
-                "fp": [curve.fp(s) for s in ss],
-                "gp": [curve.gp(s) for s in ss],
-            },
-        }
-        report = {"command": "torus-curve build",
-                  "params": {"delta": args.delta,
-                             "height_frac": args.height_frac, "tol": args.tol},
-                  "results": payload}
-        checks = [
-            {"name": "weighted-area-2pi",
-             "max_residual": abs(ver["weighted_area"] - 2 * math.pi),
-             "pass": abs(ver["weighted_area"] - 2 * math.pi) < args.tol},
-            {"name": "pointwise-exactness",
-             "max_residual": ver["pointwise_residual"],
-             "pass": ver["pointwise_residual"] < 1e-12},
-            {"name": "period-residual",
-             "max_residual": abs(ver["period_residual"]),
-             "pass": abs(ver["period_residual"]) < args.tol},
-            {"name": "winding-one", "pass": ver["winding"] == 1},
-        ]
-        return _finish(report, args, checks)
-    # verify
+    curve = build_exact_beta(args.delta, args.height_frac, tol=args.tol)
+    ver = verify_exactness(curve)
+    ss = np.linspace(0.0, curve.period, args.samples, endpoint=False)
+    payload = {
+        "family": curve.meta["family"],
+        "delta": args.delta,
+        "height_frac": args.height_frac,
+        "h": curve.meta["h"],
+        "seg_length": curve.meta["seg_length"],
+        "period": curve.period,
+        "samples": {
+            "s": [float(s) for s in ss],
+            "f": [curve.f(s) for s in ss],
+            "g": [curve.g(s) for s in ss],
+            "fp": [curve.fp(s) for s in ss],
+            "gp": [curve.gp(s) for s in ss],
+        },
+    }
+    checks = _exactness_checks(ver, args.tol)
+    checks.append({"name": "winding-one", "pass": ver["winding"] == 1})
+    return {"results": payload}, checks
+
+
+def _torus_curve_verify(args):
+    from .shapes import stadium_curve, verify_exactness
+
+    if args.input is None:
+        raise ValueError("torus-curve verify needs --input")
     with open(args.input) as fh:
         payload = json.load(fh)
     if "results" in payload:
@@ -435,150 +402,174 @@ def cmd_torus_curve(args):
     curve = stadium_curve(payload["seg_length"], payload["h"])
     curve.meta["eps"] = math.tanh(payload["delta"])
     ver = verify_exactness(curve)
-    report = {"command": "torus-curve verify",
-              "params": {"input": args.input},
-              "results": ver}
-    checks = [
-        {"name": "weighted-area-2pi",
-         "max_residual": abs(ver["weighted_area"] - 2 * math.pi),
-         "pass": abs(ver["weighted_area"] - 2 * math.pi) < 1e-8},
-        {"name": "pointwise-exactness", "pass": ver["pointwise_residual"] < 1e-12},
-        {"name": "period-residual", "pass": abs(ver["period_residual"]) < 1e-8},
-    ]
-    return _finish(report, args, checks)
+    checks = _exactness_checks(ver, 1e-8)
+    for c in checks[1:]:
+        del c["max_residual"]  # the verify report shows the area residual only
+    return {"results": ver}, checks
 
 
-def cmd_suite(args):
+def _suite_acceptance(args):
     from .acceptance import run_all
 
     results = run_all(verbose=not args.quiet)
-    report = {"command": "suite acceptance", "params": {},
-              "results": results}
-    checks = [{"name": r["name"], "pass": r["pass"]} for r in results]
-    return _finish(report, args, checks)
+    if not args.timing:
+        for r in results:
+            del r["elapsed_s"]
+    return ({"results": results},
+            [{"name": r["name"], "pass": r["pass"]} for r in results])
 
 
-# ------------------------------------------------------------- parser
+# -------------------------------------------------------------- table
+# name -> (help, flags, {action: (handler, report params, report command)})
 
-def build_parser():
+_MATRIX = ("--matrix", {"default": "2 1 1 1"})
+_GENUS = ("--genus", {"type": int, "default": 2})
+_MAX_NORM = ("--max-norm", {"type": int, "default": 10})
+_TMAX = ("--tmax", {"type": int, "default": 2})
+_CLASSES = ("--classes", {"default": ""})
+_TOL = ("--tol", {"type": float, "default": 1e-8})
+
+COMMANDS = {
+    "toral": ("hyperbolic toral automorphisms", (
+        ("--matrix", {"required": True, "help": 'row-major "a b c d"'}),
+        ("--n", {"type": int, "default": 1}),
+        ("--N", {"type": int, "default": 3}),
+    ), {
+        "eigen": (_toral_eigen, ("matrix",), "toral eigen"),
+        "fixed": (_toral_fixed, ("matrix", "n"), "toral fixed"),
+        "orbits": (_toral_orbits, ("matrix", "N"), "toral orbits"),
+    }),
+    "chords": ("Reeb-chord lattice enumeration", (
+        ("--matrix", {"required": True}),
+        ("--p", {"default": "0 0"}),
+        ("--q", {"default": "0 0"}),
+        ("--sign", {"choices": ("+", "-"), "default": "+"}),
+        ("--kmax", {"type": int, "default": 20}),
+        ("--max-norm", {"type": int, "default": 20}),
+    ), {
+        "enumerate": (_chords_enumerate, ("matrix", "p", "q", "sign", "kmax"),
+                      "chords enumerate"),
+        "fibers": (_chords_fibers, ("matrix", "sign", "max_norm"),
+                   "chords fibers"),
+    }),
+    "hw": ("wrapped Floer rank bookkeeping", (
+        _GENUS,
+        ("--gamma", {"default": "a1"}),
+        ("--beta", {"default": "b1"}),
+        ("--L", {"type": int, "default": 4}),
+        ("--T", {"type": int, "default": 3}),
+        _MATRIX,
+        ("--N", {"type": int, "default": 2}),
+        ("--orbit1", {"type": int, "default": 0}),
+        ("--orbit2", {"type": int, "default": 0}),
+        ("--kmax", {"type": int, "default": 5}),
+    ), {
+        "mcduff": (_hw_mcduff, ("genus", "gamma", "beta", "L", "T"),
+                   "hw mcduff"),
+        "torus": (_hw_torus, ("matrix", "N", "orbit1", "orbit2", "kmax"),
+                  "hw torus"),
+    }),
+    "homology": ("integer (co)homology tables", (
+        _MATRIX,
+        _GENUS,
+        ("--N", {"type": int, "default": 10}),
+        ("--orbits", {"type": int, "default": None}),
+        _MAX_NORM,
+        _TMAX,
+        _CLASSES,
+    ), {
+        "mapping-torus": (_homology_mapping_torus, ("matrix",),
+                          "homology mapping-torus"),
+        "circle-bundle": (_homology_circle_bundle, ("genus",),
+                          "homology circle-bundle"),
+        "hochschild": (_homology_hochschild, ("N", "orbits"),
+                       "homology hochschild"),
+        "sh-torus": (_homology_sh_torus, ("matrix", "max_norm"),
+                     "homology sh-torus"),
+        "sh-mcduff": (_homology_sh_mcduff, ("genus", "tmax"),
+                      "homology sh-mcduff"),
+    }),
+    "sh": ("symplectic cohomology rank reports", (
+        _MATRIX, _GENUS, _MAX_NORM, _TMAX, _CLASSES,
+    ), {
+        "torus": (_homology_sh_torus, ("matrix", "max_norm"),
+                  "homology sh-torus"),
+        "mcduff": (_homology_sh_mcduff, ("genus", "tmax"),
+                   "homology sh-mcduff"),
+    }),
+    "forms": ("closed-form differential checks", (
+        ("--suite", {"default": "all", "choices": ("all",) + _SUITES}),
+        _TOL,
+        ("--samples", {"type": _positive_int, "default": 1000}),
+    ), {
+        "check": (_forms_check, ("suite", "tol", "samples", "seed"),
+                  "forms check"),
+    }),
+    "hyperbolic": ("hyperbolic plane computations", (
+        ("--g0", {"default": "-1 1"}),
+        ("--g1", {"default": "0 inf"}),
+        ("--g2", {"default": "0.5 3"}),
+        ("--l1", {"type": float, "default": 2.0}),
+        ("--K", {"type": int, "default": 10}),
+    ), {
+        "triangles": (_hyperbolic_triangles, ("g0", "g1", "g2", "l1", "K"),
+                      "hyperbolic triangles"),
+        "ortho": (_hyperbolic_ortho, ("g1", "g2"), "hyperbolic ortho"),
+    }),
+    "torus-curve": ("exact Lagrangian beta-curves", (
+        ("--delta", {"type": float, "default": 0.4}),
+        ("--height-frac", {"type": float, "default": 0.9}),
+        _TOL,
+        ("--samples", {"type": _positive_int, "default": 256}),
+        ("--input", {"default": None}),
+    ), {
+        "build": (_torus_curve_build, ("delta", "height_frac", "tol"),
+                  "torus-curve build"),
+        "verify": (_torus_curve_verify, ("input",), "torus-curve verify"),
+    }),
+    "suite": ("batteries", (
+        ("--quiet", {"action": "store_true"}),
+    ), {
+        "acceptance": (_suite_acceptance, (), "suite acceptance"),
+    }),
+}
+
+
+def build_parser(defaults=None):
+    """The argparse tree of COMMANDS plus the common flags.  `defaults`
+    (flag dest -> value, from --config) replace flag defaults and lift
+    `required`; explicit flags still win."""
+    defaults = defaults or {}
+    common = (
+        ("--format", {"choices": ("json", "csv"), "default": "json"}),
+        ("--output", {"default": None}),
+        # a string default goes through type=int, so a bad value is a usage error
+        ("--seed", {"type": int,
+                    "default": os.environ.get("ANOSOVLAB_SEED", str(DEFAULT_SEED))}),
+        ("--timing", {"action": "store_true",
+                      "help": "include wall time (breaks byte determinism)"}),
+    )
     p = argparse.ArgumentParser(
         prog="anosovlab",
         description="Computations for Anosov Liouville domains",
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--output", default=None)
-        sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("ANOSOVLAB_SEED",
-                                                   DEFAULT_SEED)))
-        sp.add_argument("--timing", action="store_true",
-                        help="include wall time (breaks byte determinism)")
-
-    sp = sub.add_parser("toral", help="hyperbolic toral automorphisms")
-    sp.add_argument("action", choices=("eigen", "fixed", "orbits"))
-    sp.add_argument("--matrix", required=True, help='row-major "a b c d"')
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--N", type=int, default=3)
-    common(sp)
-    sp.set_defaults(fn=cmd_toral)
-
-    sp = sub.add_parser("chords", help="Reeb-chord lattice enumeration")
-    sp.add_argument("action", choices=("enumerate", "fibers"))
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--p", default="0 0")
-    sp.add_argument("--q", default="0 0")
-    sp.add_argument("--sign", choices=("+", "-"), default="+")
-    sp.add_argument("--kmax", type=int, default=20)
-    sp.add_argument("--max-norm", type=int, default=20)
-    common(sp)
-    sp.set_defaults(fn=cmd_chords)
-
-    sp = sub.add_parser("hw", help="wrapped Floer rank bookkeeping")
-    sp.add_argument("action", choices=("mcduff", "torus"))
-    sp.add_argument("--genus", type=int, default=2)
-    sp.add_argument("--gamma", default="a1")
-    sp.add_argument("--beta", default="b1")
-    sp.add_argument("--L", type=int, default=4)
-    sp.add_argument("--T", type=int, default=3)
-    sp.add_argument("--matrix", default="2 1 1 1")
-    sp.add_argument("--N", type=int, default=2)
-    sp.add_argument("--orbit1", type=int, default=0)
-    sp.add_argument("--orbit2", type=int, default=0)
-    sp.add_argument("--kmax", type=int, default=5)
-    common(sp)
-    sp.set_defaults(fn=cmd_hw)
-
-    sp = sub.add_parser("homology", help="integer (co)homology tables")
-    sp.add_argument("action", choices=("mapping-torus", "circle-bundle",
-                                       "hochschild", "sh-torus", "sh-mcduff"))
-    sp.add_argument("--matrix", default="2 1 1 1")
-    sp.add_argument("--genus", type=int, default=2)
-    sp.add_argument("--N", type=int, default=10)
-    sp.add_argument("--orbits", type=int, default=None)
-    sp.add_argument("--max-norm", type=int, default=10)
-    sp.add_argument("--tmax", type=int, default=2)
-    sp.add_argument("--classes", default="")
-    common(sp)
-    sp.set_defaults(fn=cmd_homology)
-
-    sp = sub.add_parser("sh", help="symplectic cohomology rank reports")
-    sp.add_argument("action", choices=("torus", "mcduff"))
-    sp.add_argument("--matrix", default="2 1 1 1")
-    sp.add_argument("--genus", type=int, default=2)
-    sp.add_argument("--max-norm", type=int, default=10)
-    sp.add_argument("--tmax", type=int, default=2)
-    sp.add_argument("--classes", default="")
-    common(sp)
-    sp.set_defaults(fn=cmd_sh)
-
-    sp = sub.add_parser("forms", help="closed-form differential checks")
-    sp.add_argument("action", choices=("check",))
-    sp.add_argument("--suite", default="all",
-                    choices=("all", "torus-bundle", "mcduff-fermi",
-                             "mcduff-halfplane", "covers"))
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--samples", type=int, default=1000)
-    common(sp)
-    sp.set_defaults(fn=cmd_forms)
-
-    sp = sub.add_parser("hyperbolic", help="hyperbolic plane computations")
-    sp.add_argument("action", choices=("triangles", "ortho"))
-    sp.add_argument("--g0", default="-1 1")
-    sp.add_argument("--g1", default="0 inf")
-    sp.add_argument("--g2", default="0.5 3")
-    sp.add_argument("--l1", type=float, default=2.0)
-    sp.add_argument("--K", type=int, default=10)
-    common(sp)
-    sp.set_defaults(fn=cmd_hyperbolic)
-
-    sp = sub.add_parser("torus-curve", help="exact Lagrangian beta-curves")
-    sp.add_argument("action", choices=("build", "verify"))
-    sp.add_argument("--delta", type=float, default=0.4)
-    sp.add_argument("--height-frac", type=float, default=0.9)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--samples", type=int, default=256)
-    sp.add_argument("--input", default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_torus_curve)
-
-    sp = sub.add_parser("suite", help="batteries")
-    sp.add_argument("action", choices=("acceptance",))
-    sp.add_argument("--quiet", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_suite)
-
+    for name, (help_text, flags, actions) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("action", choices=tuple(actions))
+        for flag, kwargs in flags + common:
+            dest = flag[2:].replace("-", "_")
+            if dest in defaults:
+                kwargs = dict(kwargs, default=defaults[dest], required=False)
+            sp.add_argument(flag, **kwargs)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     # optional config file supplies flag defaults; explicit flags win
-    argv = list(argv)
+    defaults = {}
     if "--config" in argv:
         i = argv.index("--config")
         try:
@@ -590,23 +581,28 @@ def main(argv=None):
         try:
             with open(path) as fh:
                 defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print("error: bad config file: %s" % exc, file=sys.stderr)
             return 2
-        mapped = {k.replace("-", "_"): v for k, v in defaults.items()}
-        for sub in parser._subparsers._group_actions[0].choices.values():
-            sub.set_defaults(**mapped)
-            for action in sub._actions:
-                if action.dest in mapped:
-                    action.required = False
+        if not isinstance(defaults, dict):
+            print("error: bad config file: %s does not hold a JSON object" % path,
+                  file=sys.stderr)
+            return 2
+        defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(defaults).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if exc.code is not None else 0
-    args._t0 = time.time()
+    t0 = time.time()
+    handler, params, command = COMMANDS[args.command][2][args.action]
+    report = {"command": command,
+              "params": {name: getattr(args, name) for name in params}}
     try:
-        return args.fn(args)
+        fields, checks = handler(args)
+        report["params"].update(fields.pop("params", {}))
+        report.update(fields)
+        return _finish(report, checks, args, t0)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -409,8 +409,8 @@ def triangle_enumerate(g0, g1, g2, ell1, K, collision_tol=1e-9):
     distinct, and (v01, v12, v02) to be positively (counterclockwise)
     cyclically ordered, matching the cyclic order of the two inputs and the
     output around the triangle."""
-    if ell1 <= 0:
-        raise ValueError("ell1 > 0 required")
+    if not 0 < ell1 < math.inf:  # also rejects NaN
+        raise ValueError("finite ell1 > 0 required")
     if K < 0:
         raise ValueError("K >= 0 required")
     base = intersect(g0, g1)

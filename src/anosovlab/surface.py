@@ -356,16 +356,6 @@ class FuchsianRep:
             out = out @ m
         return out.astype(float)
 
-    def matrix_ld(self, word):
-        out = np.eye(2, dtype=np.longdouble)
-        for x in word:
-            m = self._gens_ld[abs(x)]
-            if x < 0:
-                m = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]],
-                             dtype=np.longdouble)
-            out = out @ m
-        return out
-
     def matrix_mp(self, word, dps=None):
         with mpmath.workdps(dps or self.dps):
             out = mpmath.matrix([[1, 0], [0, 1]])

@@ -2,7 +2,10 @@ import io
 import json
 import math
 
-from anosovlab.cli import emit, main
+import pytest
+
+from anosovlab import acceptance
+from anosovlab.cli import COMMANDS, emit, main
 
 
 def _run(argv):
@@ -32,7 +35,7 @@ def test_byte_determinism():
     assert out1 == out2
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path, monkeypatch):
     code, _ = _run(["toral", "orbits", "--matrix", "2 1 1 1", "--N", "2"])
     assert code == 0
     code, _ = _run(["toral", "orbits", "--matrix", "1 0 0 1", "--N", "2"])
@@ -43,6 +46,17 @@ def test_exit_codes():
     assert main(["chords", "enumerate", "--matrix", "2 1 1 1", "--p", "0 0",
                  "--q", "1/0 2/5", "--kmax", "3"]) == 2
     assert main(["hyperbolic", "ortho", "--g1", "1/0 2"]) == 2
+    # counts and lengths are checked before use
+    assert main(["forms", "check", "--suite", "covers", "--samples", "0"]) == 2
+    assert main(["torus-curve", "build", "--samples", "-5"]) == 2
+    assert main(["hyperbolic", "triangles", "--l1", "nan"]) == 2
+    assert main(["hyperbolic", "triangles", "--l1", "inf"]) == 2
+    assert main(["torus-curve", "verify"]) == 2  # no --input
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")  # valid JSON, but not an object
+    assert main(["--config", str(config), "toral", "eigen"]) == 2
+    monkeypatch.setenv("ANOSOVLAB_SEED", "seven")
+    assert main(["forms", "check", "--samples", "5"]) == 2
 
 
 def test_json_round_trip():
@@ -98,3 +112,106 @@ def test_forms_cli_failing_check_exits_one(monkeypatch):
     assert code == 1
     doc = json.loads(out.decode())
     assert not doc["pass"]
+
+
+def _stub_pass():
+    return {"pass": True, "details": {}}
+
+
+def _stub_fail():
+    return {"pass": False, "details": {"why": "stub"}}
+
+
+# (command, action) -> (small argv, exit code, report command, param keys)
+CASES = {
+    ("toral", "eigen"): (["--matrix", "2 1 1 1"], 0, "toral eigen", {"matrix"}),
+    ("toral", "fixed"): (["--matrix", "5 2 2 1", "--n", "2"], 0, "toral fixed",
+                         {"matrix", "n"}),
+    ("toral", "orbits"): (["--matrix", "2 1 1 1", "--N", "2"], 0, "toral orbits",
+                          {"matrix", "N"}),
+    ("chords", "enumerate"): (["--matrix", "2 1 1 1", "--q", "1/5 2/5", "--kmax", "3"],
+                              0, "chords enumerate",
+                              {"matrix", "p", "q", "sign", "kmax", "backend"}),
+    ("chords", "fibers"): (["--matrix", "2 1 1 1", "--max-norm", "5"], 0,
+                           "chords fibers", {"matrix", "sign", "max_norm"}),
+    ("hw", "mcduff"): (["--L", "2", "--T", "1"], 0, "hw mcduff",
+                       {"genus", "gamma", "beta", "L", "T", "word_len_used"}),
+    ("hw", "torus"): (["--N", "2", "--orbit2", "1", "--kmax", "3"], 0, "hw torus",
+                      {"matrix", "N", "orbit1", "orbit2", "kmax"}),
+    ("homology", "mapping-torus"): (["--matrix", "3 1 2 1"], 0,
+                                    "homology mapping-torus", {"matrix"}),
+    ("homology", "circle-bundle"): (["--genus", "3"], 0, "homology circle-bundle",
+                                    {"genus"}),
+    ("homology", "hochschild"): (["--N", "4", "--orbits", "2"], 0,
+                                 "homology hochschild", {"N", "orbits"}),
+    ("homology", "sh-torus"): (["--max-norm", "4"], 0, "homology sh-torus",
+                               {"matrix", "max_norm"}),
+    ("homology", "sh-mcduff"): (["--classes", "a1,b1"], 0, "homology sh-mcduff",
+                                {"genus", "tmax", "classes"}),
+    ("sh", "torus"): (["--max-norm", "4"], 0, "homology sh-torus",
+                      {"matrix", "max_norm"}),
+    ("sh", "mcduff"): (["--classes", "a1"], 0, "homology sh-mcduff",
+                       {"genus", "tmax", "classes"}),
+    ("forms", "check"): (["--suite", "covers", "--samples", "10"], 0, "forms check",
+                         {"suite", "tol", "samples", "seed"}),
+    ("hyperbolic", "triangles"): (["--K", "3"], 0, "hyperbolic triangles",
+                                  {"g0", "g1", "g2", "l1", "K"}),
+    ("hyperbolic", "ortho"): (["--g2", "0.5 2"], 0, "hyperbolic ortho", {"g1", "g2"}),
+    ("torus-curve", "build"): (["--samples", "4"], 0, "torus-curve build",
+                               {"delta", "height_frac", "tol"}),
+    ("torus-curve", "verify"): (["--input"], 0, "torus-curve verify", {"input"}),
+    # stub criteria, one failing: the report must still come out, with exit 1
+    ("suite", "acceptance"): (["--quiet"], 1, "suite acceptance", set()),
+}
+
+TABLE_PAIRS = [(c, a) for c, (_, _, actions) in COMMANDS.items() for a in actions]
+
+
+def test_cases_cover_the_table():
+    assert set(CASES) == set(TABLE_PAIRS)
+
+
+@pytest.mark.parametrize("command,action", TABLE_PAIRS,
+                         ids=["%s-%s" % pair for pair in TABLE_PAIRS])
+def test_every_table_entry(command, action, tmp_path, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [_stub_pass, _stub_fail])
+    argv, code, report_command, param_keys = CASES[(command, action)]
+    if argv == ["--input"]:
+        curve = tmp_path / "curve.json"
+        assert main(["torus-curve", "build", "--samples", "4",
+                     "--output", str(curve)]) == 0
+        argv = ["--input", str(curve)]
+    got, out = _run([command, action] + argv)
+    assert got == code
+    doc = json.loads(out.decode())
+    assert doc["command"] == report_command
+    assert set(doc["params"]) == param_keys
+    assert doc["pass"] == (code == 0)
+
+
+def test_config_object_sets_defaults(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"matrix": "3 1 2 1", "max-norm": 3}))
+    # --matrix is required for toral; the config value lifts that
+    code, out = _run(["--config", str(config), "toral", "eigen"])
+    assert code == 0
+    assert json.loads(out.decode())["params"] == {"matrix": "3 1 2 1"}
+    # explicit flags win over the config
+    code, out = _run(["chords", "fibers", "--matrix", "2 1 1 1", "--max-norm", "4",
+                      "--config", str(config)])
+    assert code == 0
+    assert json.loads(out.decode())["params"]["max_norm"] == 4
+
+
+def test_suite_acceptance_stdout_is_json(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", [_stub_pass, _stub_fail])
+    assert main(["suite", "acceptance"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert [r["name"] for r in doc["results"]] == ["_stub_pass", "_stub_fail"]
+    assert all("elapsed_s" not in r for r in doc["results"])
+    assert "_stub_fail" in captured.err  # progress lines go to stderr
+    assert main(["suite", "acceptance", "--quiet", "--timing"]) == 1
+    captured = capsys.readouterr()
+    assert all("elapsed_s" in r for r in json.loads(captured.out)["results"])
+    assert captured.err == ""
