@@ -8,6 +8,7 @@ floats attached afterwards and never feed back into membership.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,6 +129,13 @@ def _integerized_edges(cone: ConeSpec):
             out.append(int(q.a * lcm))
             out.append(int(q.b * lcm))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=128)
+def _cone_coeffs(H, sign):
+    """_integerized_edges of the chord cone of H on the given end, built
+    once per cone instead of once per enumeration."""
+    return _integerized_edges(cone_spec(H, sign))
 
 
 def _sign(a, b, D):
@@ -265,30 +273,61 @@ class FilteredChordSet:
         return tuple(c for c in self.chords if c.box == k)
 
 
-def _offset_data(p, q):
-    rx = Fraction(q[0]) - Fraction(p[0])
-    ry = Fraction(q[1]) - Fraction(p[1])
-    den = rx.denominator * ry.denominator // math.gcd(
-        rx.denominator, ry.denominator
-    )
-    return den, int(rx * den), int(ry * den)
+def _over_common_den(wx, wy):
+    """(X, Y, den) with (wx, wy) = (X/den, Y/den) for rationals wx, wy."""
+    wx, wy = Fraction(wx), Fraction(wy)
+    den = math.lcm(wx.denominator, wy.denominator)
+    return (wx.numerator * (den // wx.denominator),
+            wy.numerator * (den // wy.denominator), den)
 
 
-def _chord(H, w, m, n, sign, source, target):
-    """The chord with translate (m, n) whose displacement vector is w."""
-    z, _, _ = chord_slope(H, w, sign)
-    return ChordGen(m=m, n=n, sign=sign, source=source, target=target, z=z,
-                    box=max(abs(m), abs(n)),
-                    action=math.hypot(float(w[0]), float(w[1])))
+def _slope(H, X, Y, den, sign):
+    """Exact eigen-coefficients and float slope of w = (X/den, Y/den).
+
+    With H.eigen_int = (L, c) the coefficients of w = a vx + b vy are
+    L den a = a0 + a1 sqrt(D) and L den b = b0 + b1 sqrt(D), integers
+    linear in (X, Y); their signs are decided exactly.  The slope is
+    z = log(b / (sign a)) / 2 mod nu.  With b / (sign a) = (P + Q sqrt(D)) / N
+    in integers, the float P/N + (Q/N) sqrt(D), its quotients correctly
+    rounded, is the float QuadNum.__float__ gives for that ratio.
+    Returns (z, a0, a1, b0, b1)."""
+    D = H.D
+    _, ((c0, e0), (c1, e1), (c2, e2), (c3, e3)) = H.eigen_int
+    a0, a1 = X * c0 - Y * c1, X * e0 - Y * e1
+    b0, b1 = Y * c2 - X * c3, Y * e2 - X * e3
+    if _sign(b0, b1, D) <= 0 or sign * _sign(a0, a1, D) <= 0:
+        s = H.eigen_int[0] * den
+        raise OutsideCone(
+            "eigen-coefficients (%s, %s) incompatible with sign %+d"
+            % (QuadNum(Fraction(a0, s), Fraction(a1, s), D),
+               QuadNum(Fraction(b0, s), Fraction(b1, s), D), sign)
+        )
+    # b / (sign a) = b (a0 - a1 sqrt(D)) / (sign (a0^2 - a1^2 D))
+    N = a0 * a0 - a1 * a1 * D
+    t = sign if N > 0 else -sign
+    P, Q, N = t * (b0 * a0 - b1 * a1 * D), t * (b1 * a0 - b0 * a1), abs(N)
+    z = 0.5 * math.log(P / N + Q / N * float(D) ** 0.5)
+    z_mod = z % H.nu
+    if z_mod >= H.nu:  # guard against boundary rounding
+        z_mod -= H.nu
+    return z_mod, a0, a1, b0, b1
+
+
+def _chord(H, X, Y, den, m, n, sign, source, target):
+    """The chord with translate (m, n) and displacement (X/den, Y/den)."""
+    return ChordGen(m=m, n=n, sign=sign, source=source, target=target,
+                    z=_slope(H, X, Y, den, sign)[0], box=max(abs(m), abs(n)),
+                    action=math.hypot(X / den, Y / den))
 
 
 def enumerate_chords(H, p, q, sign, k_max, with_chords=True):
     """All chords from p to q with box length <= k_max on the given end."""
     if k_max < 0:
         raise ValueError("k_max >= 0 required")
-    cone = cone_spec(H, sign)
-    coeffs = _integerized_edges(cone)
-    den, rxn, ryn = _offset_data(p, q)
+    coeffs = _cone_coeffs(H, sign)
+    p = (Fraction(p[0]), Fraction(p[1]))
+    q = (Fraction(q[0]), Fraction(q[1]))
+    rxn, ryn, den = _over_common_den(q[0] - p[0], q[1] - p[1])
     ring_counts, points = enumerate_box(
         coeffs, H.D, den, rxn, ryn, k_max, want_points=with_chords
     )
@@ -299,15 +338,12 @@ def enumerate_chords(H, p, q, sign, k_max, with_chords=True):
         cum.append(total)
     chords = ()
     if with_chords:
-        p = (Fraction(p[0]), Fraction(p[1]))
-        q = (Fraction(q[0]), Fraction(q[1]))
-        built = [_chord(H, (q[0] + m - p[0], q[1] + n - p[1]), m, n, sign, p, q)
-                 for m, n in points]
-        built.sort(key=lambda c: (c.box, c.m, c.n))
-        chords = tuple(built)
+        points.sort(key=lambda t: (max(abs(t[0]), abs(t[1])), t[0], t[1]))
+        chords = tuple(_chord(H, m * den + rxn, n * den + ryn, den, m, n,
+                              sign, p, q) for m, n in points)
     return FilteredChordSet(
-        source=tuple(map(Fraction, p)),
-        target=tuple(map(Fraction, q)),
+        source=p,
+        target=q,
         sign=sign,
         k_max=k_max,
         chords=chords,
@@ -331,18 +367,11 @@ def chord_slope(H, w, sign):
     Writing w = a vx + b vy, the direction is R_sign(z) iff
     (a, b) is a positive multiple of (sign*e^{-z}, e^{z}), so
     z = log(b / (sign*a)) / 2, reduced mod nu.  Sign checks are exact."""
-    a, b = eigen_coefficients(H, w)
-    if b.sign() <= 0 or (a * sign).sign() <= 0:
-        raise OutsideCone(
-            "eigen-coefficients (%s, %s) incompatible with sign %+d"
-            % (a, b, sign)
-        )
-    ratio = b / (a * sign)
-    z = 0.5 * math.log(float(ratio))
-    z_mod = z % H.nu
-    if z_mod >= H.nu:  # guard against boundary rounding
-        z_mod -= H.nu
-    return z_mod, a, b
+    X, Y, den = _over_common_den(w[0], w[1])
+    z, a0, a1, b0, b1 = _slope(H, X, Y, den, sign)
+    s = H.eigen_int[0] * den
+    return (z, QuadNum(Fraction(a0, s), Fraction(a1, s), H.D),
+            QuadNum(Fraction(b0, s), Fraction(b1, s), H.D))
 
 
 def enumerate_rational_fibers(H, sign, max_norm):
@@ -354,8 +383,7 @@ def enumerate_rational_fibers(H, sign, max_norm):
     cone narrower than pi that point the same way are equal."""
     if max_norm < 0:
         raise ValueError("max_norm >= 0 required")
-    cone = cone_spec(H, sign)
-    coeffs = _integerized_edges(cone)
+    coeffs = _cone_coeffs(H, sign)
     ring_counts, points = enumerate_box(
         coeffs, H.D, 1, 0, 0, max_norm, want_points=True
     )
@@ -363,8 +391,7 @@ def enumerate_rational_fibers(H, sign, max_norm):
     for m, n in points:
         if math.gcd(abs(m), abs(n)) != 1:
             continue
-        z, _, _ = chord_slope(H, (m, n), sign)
-        out.append((m, n, z))
+        out.append((m, n, _slope(H, m, n, 1, sign)[0]))
     out.sort(key=lambda t: (t[2], t[0], t[1]))
     return out
 
@@ -428,7 +455,7 @@ def class_disjointness(H, box_bound=50):
     overlap = plus & minus
     on_edge = []
     for sign in (1, -1):
-        coeffs = _integerized_edges(cone_spec(H, sign))
+        coeffs = _cone_coeffs(H, sign)
         for edge in (coeffs[:4], coeffs[4:]):
             on_edge.extend((sign, m, n) for m, n in
                            _edge_lattice_points(*edge, box_bound))
@@ -464,8 +491,7 @@ def _is_square(n):
 
 
 def _all_cone_points(H, sign, box):
-    cone = cone_spec(H, sign)
-    coeffs = _integerized_edges(cone)
+    coeffs = _cone_coeffs(H, sign)
     _, points = enumerate_box(coeffs, H.D, 1, 0, 0, box, True)
     return points
 
@@ -548,6 +574,7 @@ def product_candidates(H, c01: ChordGen, c12: ChordGen, orbit1: PeriodicOrbit,
                  w_red[1] - (target[1] - source[1]))
         m, n = int(trans[0]), int(trans[1])
         assert trans[0] == m and trans[1] == n
-        out.append((k, _chord(H, w_red, m, n, sign, source, target)))
+        out.append((k, _chord(H, *_over_common_den(*w_red), m, n, sign,
+                              source, target)))
         k += size
     return out

@@ -50,15 +50,22 @@ def _parse_boundary(text):
     return out
 
 
-def _positive_int(text):
-    """argparse type for sample counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
-    return value
+def _int_at_least(low):
+    """argparse type for counts: an integer >= low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "need an integer >= %d, got %r" % (low, text))
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _fr(x):
@@ -66,20 +73,20 @@ def _fr(x):
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, Fraction):
         return _fr(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    np = sys.modules.get("numpy")  # no numpy value exists before its import
+    if np is not None:
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
     if hasattr(obj, "to_dict"):
         return obj.to_dict()
     return obj
@@ -96,6 +103,9 @@ def emit(report, fmt="json"):
         rows = report.get("results")
         if rows is None:
             rows = report.get("chords")
+        if not isinstance(rows, (list, tuple, dict, type(None))):
+            raise ValueError("csv needs rows, but the results are a %s table; "
+                             "use --format json" % type(rows).__name__)
         rows = rows or []
         if isinstance(rows, dict):
             rows = [rows]
@@ -397,8 +407,11 @@ def _torus_curve_verify(args):
         raise ValueError("torus-curve verify needs --input")
     with open(args.input) as fh:
         payload = json.load(fh)
-    if "results" in payload:
+    if isinstance(payload, dict) and "results" in payload:
         payload = payload["results"]
+    if not (isinstance(payload, dict)
+            and {"seg_length", "h", "delta"} <= payload.keys()):
+        raise ValueError("%s lacks one of seg_length, h, delta" % args.input)
     curve = stadium_curve(payload["seg_length"], payload["h"])
     curve.meta["eps"] = math.tanh(payload["delta"])
     ver = verify_exactness(curve)
@@ -433,7 +446,7 @@ COMMANDS = {
     "toral": ("hyperbolic toral automorphisms", (
         ("--matrix", {"required": True, "help": 'row-major "a b c d"'}),
         ("--n", {"type": int, "default": 1}),
-        ("--N", {"type": int, "default": 3}),
+        ("--N", {"type": _non_negative_int, "default": 3}),
     ), {
         "eigen": (_toral_eigen, ("matrix",), "toral eigen"),
         "fixed": (_toral_fixed, ("matrix", "n"), "toral fixed"),
@@ -456,8 +469,8 @@ COMMANDS = {
         _GENUS,
         ("--gamma", {"default": "a1"}),
         ("--beta", {"default": "b1"}),
-        ("--L", {"type": int, "default": 4}),
-        ("--T", {"type": int, "default": 3}),
+        ("--L", {"type": _non_negative_int, "default": 4}),
+        ("--T", {"type": _non_negative_int, "default": 3}),
         _MATRIX,
         ("--N", {"type": int, "default": 2}),
         ("--orbit1", {"type": int, "default": 0}),

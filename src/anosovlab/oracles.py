@@ -14,13 +14,14 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .exact import GradedZModule, IntMatrix
 from .exact.intmat import chain_homology
 from .chords import cone_spec
-from .hyperbolic import hyperbolic_translation
 from .toral import torus_apply
+
+# numpy, scipy.integrate and .hyperbolic are imported inside the few oracles
+# that use them: callers of the exact oracles do not pay for loading them.
 
 
 # ------------------------------------------------ cellular (co)homology
@@ -166,6 +167,8 @@ def chord_membership_mp(H, p, q, sign, kmax, prec=200):
 
 def cone_box_area(H, sign, k, grid=1500):
     """Raster estimate of area(cone /\\ box_k); Gauss-counts lattice points."""
+    import numpy as np
+
     e0, e1 = _edge_floats(H, sign)
     xs = np.linspace(-k, k, grid, endpoint=False) + k / grid
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -236,6 +239,8 @@ def chord_box_scan(coeffs, D, den, rxn, ryn, kmax, want_points=True):
 # --------------------------------------------------- triangle sampling
 
 def _sample_geodesic(g, n):
+    import numpy as np
+
     if g.is_vertical:
         ys = np.tan(np.linspace(0.05, math.pi / 2 - 0.05, n))
         return [complex(g.foot, y) for y in ys]
@@ -280,6 +285,8 @@ def _crossing_by_sampling(g, h, n=2000, bisect=80):
 
 def triangle_count_sampled(g0, g1, g2, ell1, K):
     """Oracle: count admissible translates via dense sampling only."""
+    from .hyperbolic import hyperbolic_translation
+
     base = _crossing_by_sampling(g0, g1)
     if base is None:
         return 0
@@ -303,8 +310,6 @@ def triangle_count_sampled(g0, g1, g2, ell1, K):
 
 
 # ------------------------------------------------------ region areas
-# scipy.integrate is imported by these two oracles only: at import it costs
-# about 50 MB of resident memory that every other oracle caller would pay.
 
 def disk_weighted_area(rho, x0=0.0, y0=0.0):
     """Direct 2-D integral of 1/(1-y^2) over a disk (x-slab integrated

@@ -10,7 +10,7 @@ as a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import IntMatrix, QuadNum, smith_normal_form
@@ -45,6 +45,16 @@ class HyperbolicToral:
     vx: tuple                   # expanding eigenvector, QuadNum coordinates
     vy: tuple                   # contracting eigenvector
     nu: float
+    # (L, ((p, q) x 4)): L * c = p + q sqrt(D) for c = vy[1], vy[0], vx[0],
+    # vx[1].  As det(vx, vy) = 1, w = a vx + b vy has a = wx c0 - wy c1 and
+    # b = wy c2 - wx c3, linear in w.
+    eigen_int: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coeffs = (self.vy[1], self.vy[0], self.vx[0], self.vx[1])
+        L = math.lcm(*(r.denominator for c in coeffs for r in (c.a, c.b)))
+        object.__setattr__(self, "eigen_int", (
+            L, tuple((int(c.a * L), int(c.b * L)) for c in coeffs)))
 
     def check_residuals(self):
         """A vx - lambda+ vx and A vy - lambda- vy, exactly zero by design."""
@@ -166,19 +176,24 @@ def fixed_points_raw(A, n):
     d1, d2 = snf.diagonal
     (v00, v01), (v10, v11) = snf.V.rows
     den = d1 * d2
-    pts = []
-    for k1 in range(d1):
-        x0 = v00 * k1 * d2
-        y0 = v10 * k1 * d2
-        for k2 in range(d2):
-            pts.append(((x0 + v01 * k2 * d1) % den, (y0 + v11 * k2 * d1) % den))
-    return den, pts
+    col0 = [(v00 * k1 * d2, v10 * k1 * d2) for k1 in range(d1)]
+    col1 = [(v01 * k2 * d1, v11 * k2 * d1) for k2 in range(d2)]
+    return den, [((x0 + x1) % den, (y0 + y1) % den)
+                 for x0, y0 in col0 for x1, y1 in col1]
 
 
 def fixed_points(A, n):
     """All rational p in [0,1)^2 with A^n p = p mod Z^2, via SNF."""
     den, pts = fixed_points_raw(A, n)
-    return sorted((Fraction(x, den), Fraction(y, den)) for x, y in pts)
+    fr = _fractions_over(den)
+    # one common denominator: integer order is the order of the points
+    return [(fr[x], fr[y]) for x, y in sorted(pts)]
+
+
+def _fractions_over(den):
+    """Fraction(k, den) for 0 <= k < den, each built once: the den = d1 d2
+    points of fixed_points_raw have their coordinates among them."""
+    return [Fraction(k, den) for k in range(den)]
 
 
 @dataclass(frozen=True)
@@ -211,24 +226,30 @@ def _orbit_of_int(A, p, den):
 
 
 def orbits_up_to_period(A, N):
-    """Primitive orbits of period <= N, sorted by (period, smallest point)."""
+    """Primitive orbits of period <= N, sorted by (period, smallest point).
+
+    The orbits of period n are the A-cycles of length n among the A^n-fixed
+    points; cycles are traced in the integer form of fixed_points_raw, where
+    one denominator makes integer order the order of the points."""
     orbits = []
-    seen = set()
     for n in range(1, N + 1):
         den, raw = fixed_points_raw(A, n)
+        seen = set()
+        cycles = []
         for p in raw:
-            key = (Fraction(p[0], den), Fraction(p[1], den))
-            if key in seen:
+            if p in seen:
                 continue
             cycle = _orbit_of_int(A, p, den)
-            frac = [(Fraction(x, den), Fraction(y, den)) for x, y in cycle]
-            base = min(frac)
-            i = frac.index(base)
-            orb = PeriodicOrbit(points=tuple(frac[i:] + frac[:i]),
-                                period=len(frac))
-            seen.update(orb.points)
-            orbits.append(orb)
-    orbits.sort(key=lambda o: (o.period, o.points[0]))
+            seen.update(cycle)
+            if len(cycle) == n:  # shorter cycles were listed at their period
+                i = cycle.index(min(cycle))
+                cycles.append(cycle[i:] + cycle[:i])
+        cycles.sort()
+        fr = _fractions_over(den)
+        orbits.extend(
+            PeriodicOrbit(points=tuple([(fr[x], fr[y]) for x, y in cycle]),
+                          period=n)
+            for cycle in cycles)
     return orbits
 
 

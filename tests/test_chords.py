@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovlab.acceptance import MATRIX_BATTERY
 from anosovlab.chords import (
@@ -15,6 +17,7 @@ from anosovlab.chords import (
     class_disjointness,
     cone_contains,
     cone_spec,
+    eigen_coefficients,
     enumerate_chords,
     enumerate_rational_fibers,
     homotopy_class,
@@ -23,6 +26,7 @@ from anosovlab.chords import (
 )
 from anosovlab.oracles import chord_membership_float, chord_membership_mp
 from anosovlab.toral import eigen_data, orbits_up_to_period, parse_matrix
+from strategies import hyperbolic_matrices
 
 CAT = parse_matrix("2 1 1 1")
 H = eigen_data(CAT)
@@ -96,6 +100,50 @@ def test_slope_range_and_outside_error():
         assert 0.0 <= c.z < H.nu
     with pytest.raises(OutsideCone):
         chord_slope(H, (1, 0), +1)
+
+
+def _reference_slope(H, w, sign):
+    """The slope through exact QuadNum eigen-coefficients, as chord_slope
+    computed it before its integer form."""
+    a, b = eigen_coefficients(H, w)
+    z = 0.5 * math.log(float(b / (a * sign))) % H.nu
+    return z - H.nu if z >= H.nu else z
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-21, 21), st.integers(1, 7))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(A=hyperbolic_matrices(), sign=st.sampled_from((1, -1)),
+       p=st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS),
+       q=st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS),
+       kmax=st.integers(0, 8))
+def test_integer_slopes_match_quadnum_reference(A, sign, p, q, kmax):
+    H = eigen_data(A)
+    cs = enumerate_chords(H, p, q, sign, kmax)
+    assert len(cs.chords) == cs.count()
+    for c in cs.chords:
+        w = (q[0] + c.m - p[0], q[1] + c.n - p[1])
+        assert c.z.hex() == _reference_slope(H, w, sign).hex()
+        assert c.action.hex() == math.hypot(float(w[0]), float(w[1])).hex()
+    for m, n, z in enumerate_rational_fibers(H, sign, kmax):
+        assert z.hex() == _reference_slope(H, (m, n), sign).hex()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(A=hyperbolic_matrices(), sign=st.sampled_from((1, -1)),
+       w=st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS)
+       .filter(lambda w: w != (0, 0)))
+def test_chord_slope_matches_quadnum_reference(A, sign, w):
+    H = eigen_data(A)
+    a, b = eigen_coefficients(H, w)
+    if b.sign() > 0 and (a * sign).sign() > 0:
+        z, a2, b2 = chord_slope(H, w, sign)
+        assert (a2, b2) == (a, b)
+        assert z.hex() == _reference_slope(H, w, sign).hex()
+    else:
+        with pytest.raises(OutsideCone):
+            chord_slope(H, w, sign)
 
 
 def test_fibers_empty_and_counts():

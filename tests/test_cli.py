@@ -35,7 +35,7 @@ def test_byte_determinism():
     assert out1 == out2
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     code, _ = _run(["toral", "orbits", "--matrix", "2 1 1 1", "--N", "2"])
     assert code == 0
     code, _ = _run(["toral", "orbits", "--matrix", "1 0 0 1", "--N", "2"])
@@ -55,6 +55,23 @@ def test_exit_codes(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text("[1, 2]")  # valid JSON, but not an object
     assert main(["--config", str(config), "toral", "eigen"]) == 2
+    # negative counts, csv of a table report and an incomplete curve file
+    bad = [["toral", "orbits", "--matrix", "2 1 1 1", "--N", "-1"],
+           ["hw", "mcduff", "--L", "-1"],
+           ["hw", "mcduff", "--T", "-1"],
+           ["homology", "mapping-torus", "--format", "csv"],
+           ["homology", "circle-bundle", "--format", "csv"],
+           ["homology", "hochschild", "--format", "csv"]]
+    for keys in ({"results": {"h": 0.5, "delta": 0.4}}, {"seg_length": 1.0},
+                 [1, 2]):
+        curve = tmp_path / ("curve%d.json" % len(bad))
+        curve.write_text(json.dumps(keys))
+        bad.append(["torus-curve", "verify", "--input", str(curve)])
+    capsys.readouterr()
+    for argv in bad:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err, argv
     monkeypatch.setenv("ANOSOVLAB_SEED", "seven")
     assert main(["forms", "check", "--samples", "5"]) == 2
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovlab.chords import cone_spec, enumerate_box, _integerized_edges
-from anosovlab.exact import IntMatrix
-from anosovlab.exact.intmat import inverse_unimodular
 from anosovlab.oracles import _qsign, chord_box_scan
 from anosovlab.toral import eigen_data, parse_matrix
+from strategies import hyperbolic_matrices
 
 
 def _cases():
@@ -39,28 +38,8 @@ def test_kernels_agree():
         _assert_agree(*case)
 
 
-_L = IntMatrix([[1, 0], [1, 1]])
-_R = IntMatrix([[1, 1], [0, 1]])
-_GENS = (_L, _R, IntMatrix([[1, 0], [-1, 1]]), IntMatrix([[1, -1], [0, 1]]))
-
-
-@st.composite
-def _hyperbolic(draw):
-    """A word in L, R using both (trace > 2), conjugated in SL(2,Z)."""
-    word = draw(st.lists(st.sampled_from((_L, _R)), min_size=2, max_size=6)
-                .filter(lambda w: _L in w and _R in w))
-    conj = draw(st.lists(st.sampled_from(_GENS), max_size=3))
-    A = IntMatrix.identity(2)
-    for g in word:
-        A = A * g
-    P = IntMatrix.identity(2)
-    for g in conj:
-        P = P * g
-    return P * A * inverse_unimodular(P)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(A=_hyperbolic(), sign=st.sampled_from((1, -1)),
+@given(A=hyperbolic_matrices(), sign=st.sampled_from((1, -1)),
        den=st.integers(1, 7), off=st.tuples(st.integers(-21, 21),
                                             st.integers(-21, 21)),
        kmax=st.integers(0, 40))

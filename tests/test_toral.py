@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
 
 from anosovlab.exact import QuadNum
 from anosovlab.toral import (
@@ -13,7 +14,9 @@ from anosovlab.toral import (
     orbit_count_identity,
     orbits_up_to_period,
     parse_matrix,
+    torus_apply,
 )
+from strategies import hyperbolic_matrices
 
 CAT = parse_matrix("2 1 1 1")
 
@@ -96,8 +99,6 @@ def test_orbit_counting_identity_battery():
 
 
 def test_orbit_cyclic_under_A():
-    from anosovlab.toral import torus_apply
-
     for o in orbits_up_to_period(CAT, 3):
         for i, p in enumerate(o.points):
             assert torus_apply(CAT, p) == o.points[(i + 1) % o.period]
@@ -109,3 +110,29 @@ def test_nu_high_precision_battery():
         with mpmath.workprec(200):
             lam = H.lambda_plus.to_mpf(200)
             assert abs(H.nu - float(mpmath.log(lam))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(A=hyperbolic_matrices())
+def test_periodic_points_and_orbits_properties(A):
+    N = 1  # the deepest period with at most 2000 fixed points, up to 5
+    while N < 5 and orbit_count_identity(A, N + 1) <= 2000:
+        N += 1
+    for n in range(1, N + 1):
+        pts = fixed_points(A, n)
+        assert len(pts) == orbit_count_identity(A, n)
+        assert pts == sorted(set(pts))
+    orbits = orbits_up_to_period(A, N)
+    seen = set()
+    for o in orbits:
+        assert o.period == len(o.points) and o.points[0] == min(o.points)
+        for i, p in enumerate(o.points):
+            assert torus_apply(A, p) == o.points[(i + 1) % o.period]
+        assert seen.isdisjoint(o.points)
+        seen.update(o.points)
+    keys = [(o.period, o.points[0]) for o in orbits]
+    assert keys == sorted(keys)
+    for n in range(1, N + 1):
+        assert sum(d * sum(1 for o in orbits if o.period == d)
+                   for d in range(1, n + 1) if n % d == 0) \
+            == orbit_count_identity(A, n)
