@@ -62,12 +62,6 @@ MATRIX_BATTERY = (
 CAT = MATRIX_BATTERY[0]
 
 
-def _criterion(fn):
-    fn._criterion = True
-    return fn
-
-
-@_criterion
 def criterion_01_fixed_point_identity():
     """SNF count = pointwise-verified count = |tr(A^n) - 2|, n <= 6."""
     ok = True
@@ -88,7 +82,6 @@ def criterion_01_fixed_point_identity():
     return {"pass": ok, "details": details}
 
 
-@_criterion
 def criterion_02_orbit_counting():
     """sum_{d|n} d pi(d) = |tr(A^n) - 2| for the battery, n <= 6."""
     ok = True
@@ -104,7 +97,6 @@ def criterion_02_orbit_counting():
     return {"pass": ok, "details": {"periods": pi}}
 
 
-@_criterion
 def criterion_03_chord_quadratic_growth():
     """Counts/k^2 stable between k=200 and 400; small-k counts match the
     200-bit oracle exactly; k=100 count within 3% of the raster area."""
@@ -129,7 +121,6 @@ def criterion_03_chord_quadratic_growth():
     return {"pass": ok, "details": details}
 
 
-@_criterion
 def criterion_04_membership_precision_independent():
     """53-bit and 200-bit shadows reproduce the exact membership, k <= 100."""
     H = eigen_data(CAT)
@@ -145,7 +136,6 @@ def criterion_04_membership_precision_independent():
     return {"pass": ok, "details": {"count": len(exact)}}
 
 
-@_criterion
 def criterion_05_fiber_bijectivity():
     """Primitive vectors in the window have pairwise distinct slopes and
     the fiber count equals the primitive-point count."""
@@ -169,7 +159,6 @@ def criterion_05_fiber_bijectivity():
     return {"pass": ok, "details": details}
 
 
-@_criterion
 def criterion_06_forms_suite():
     """All four closed-form verification suites at 1e-8 over 1000 samples."""
     failing = []
@@ -180,7 +169,6 @@ def criterion_06_forms_suite():
     return {"pass": not failing, "details": {"failing": failing}}
 
 
-@_criterion
 def criterion_07_mapping_torus_cohomology():
     """Torsion order |tr - 2|, Poincare symmetry, chi = 0; two matrices
     cross-checked against the cellular cochain oracle."""
@@ -205,7 +193,6 @@ def criterion_07_mapping_torus_cohomology():
     return {"pass": ok, "details": {}}
 
 
-@_criterion
 def criterion_08_hochschild():
     """Support in total degrees {0, 1} for N <= 50, strictly growing total
     rank, and the orbit-sum table is a plain multiple."""
@@ -226,7 +213,6 @@ def criterion_08_hochschild():
     return {"pass": ok, "details": {"rank_at_50": prev}}
 
 
-@_criterion
 def criterion_09_product_admissibility():
     """Exactly the 7 allowed component triples pass; the other 20 are
     flagged; fiber-product axioms hold on a synthetic table."""
@@ -264,7 +250,6 @@ def _synthetic_components():
     return {"-": im, "0": a0, "+": ip}
 
 
-@_criterion
 def criterion_10_beta_curve():
     """Solved curve hits area 2 pi to 1e-8, exactness residuals below
     tolerance, and the thin-rectangle value matches the closed-form strip
@@ -300,7 +285,6 @@ def criterion_10_beta_curve():
     }
 
 
-@_criterion
 def criterion_11_hyperbolic_geometry():
     """Cross-ratio orthogeodesic formula, triangle counts vs the sampling
     oracle, conjugation invariance, Gauss-Bonnet, and the grading gate."""
@@ -349,7 +333,6 @@ def criterion_11_hyperbolic_geometry():
     }
 
 
-@_criterion
 def criterion_12_surface_group():
     """Dehn vs Fuchsian triviality on 10^4 words (with injected trivial
     words), relator residual, length as a class function, and distinctness
@@ -414,7 +397,6 @@ def criterion_12_surface_group():
     }
 
 
-@_criterion
 def criterion_13_sh_assembly():
     """sh_torus_bundle side multiplicities equal the fiber enumeration for
     the battery at max_norm = 10, and the block sizes are consistent."""

@@ -548,10 +548,24 @@ COMMANDS = {
 }
 
 
+def _config_default(flag, kwargs, value):
+    """A --config value as the default of `flag`: a JSON boolean for a
+    switch, else a string or number in the flag's choices, which argparse
+    passes through the flag's type like any string default."""
+    if kwargs.get("action") == "store_true":
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        text = str(value)
+        if text in kwargs.get("choices", (text,)):
+            return text
+    raise ValueError("bad config file: %r is not a valid %s" % (value, flag))
+
+
 def build_parser(defaults=None):
     """The argparse tree of COMMANDS plus the common flags.  `defaults`
     (flag dest -> value, from --config) replace flag defaults and lift
-    `required`; explicit flags still win."""
+    `required`; explicit flags still win.  A bad value raises ValueError."""
     defaults = defaults or {}
     common = (
         ("--format", {"choices": ("json", "csv"), "default": "json"}),
@@ -574,7 +588,8 @@ def build_parser(defaults=None):
         for flag, kwargs in flags + common:
             dest = flag[2:].replace("-", "_")
             if dest in defaults:
-                kwargs = dict(kwargs, default=defaults[dest], required=False)
+                kwargs = dict(kwargs, required=False, default=_config_default(
+                    flag, kwargs, defaults[dest]))
             sp.add_argument(flag, **kwargs)
     return p
 
@@ -607,6 +622,9 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if exc.code is not None else 0
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     t0 = time.time()
     handler, params, command = COMMANDS[args.command][2][args.action]
     report = {"command": command,

@@ -3,9 +3,10 @@ regular-octagon Fuchsian realization for genus 2.
 
 Words are tuples of signed generator indices (a_i = 2i-1, b_i = 2i,
 negatives are inverses).  The relator is the product of commutators, whose
-symmetrized closure has pieces of length 1, so Dehn's greedy shortening
-solves the word problem.  The Fuchsian side is built in high precision
-(mpmath) and shadowed by float64 matrices for geometry.
+symmetrized closure has pieces of length 1, so Dehn's greedy shortening,
+over an index of relators by their first two letters, solves the word
+problem.  The Fuchsian side is built in high precision (mpmath); an exact
+integer product decides +-I and float64 matrices serve the geometry.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ class NotHyperbolicElement(ValueError):
 
 class TrivialClass(ValueError):
     pass
+
+
+# max-entry distance from +-I below which FuchsianRep.is_identity says yes
+IDENTITY_RESIDUAL = 1e-6
 
 
 # ------------------------------------------------------------ words
@@ -95,6 +100,9 @@ class SurfacePresentation:
             for r in range(len(base)):
                 sym.add(base[r:] + base[:r])
         self.symmetrized = tuple(sorted(sym))
+        self._by_prefix = {rel[:2]: rel for rel in self.symmetrized}
+        assert len(self._by_prefix) == len(self.symmetrized), \
+            "two symmetrized relators share a two-letter prefix"
 
     @property
     def n_generators(self):
@@ -105,28 +113,30 @@ class SurfacePresentation:
 
     # ---------------------------------------------------- Dehn moves
 
-    def _find_replacement(self, word, min_len):
-        """First subword of length > min_len matching a relator prefix."""
-        n = len(word)
-        for i in range(n):
-            for rel in self.symmetrized:
-                m = 0
-                while m < n - i and m < len(rel) and word[i + m] == rel[m]:
-                    m += 1
-                if m > min_len:
-                    v = rel[m:]
-                    return i, m, invert_word(v)
-        return None
+    def _relator_at(self, word, i, stop):
+        """(m, rel): the one symmetrized relator that can share more than
+        a letter (a piece) with word[i:stop], and the length m they share;
+        (0, None) when no relator starts with word[i:i+2]."""
+        rel = self._by_prefix.get(word[i : i + 2]) if i + 2 <= stop else None
+        if rel is None:
+            return 0, None
+        m, end = 2, min(stop - i, len(rel))
+        while m < end and word[i + m] == rel[m]:
+            m += 1
+        return m, rel
 
     def dehn_reduce(self, word):
         """Greedy Dehn shortening; empty output iff the word is trivial."""
         w = free_reduce(word)
-        while True:
-            hit = self._find_replacement(w, self.half)
-            if hit is None:
-                return w
-            i, m, repl = hit
-            w = free_reduce(w[:i] + repl + w[i + m :])
+        i = 0
+        while i < len(w):
+            m, rel = self._relator_at(w, i, len(w))
+            if m > self.half:
+                w = free_reduce(w[:i] + invert_word(rel[m:]) + w[i + m :])
+                i = 0
+            else:
+                i += 1
+        return w
 
     def is_trivial(self, word):
         return self.dehn_reduce(word) == ()
@@ -142,21 +152,12 @@ class SurfacePresentation:
             n = len(w)
             if n > self.half:
                 doubled = w + w
-                hit = None
                 for i in range(n):
-                    for rel in self.symmetrized:
-                        m = 0
-                        while m < n and m < len(rel) and doubled[i + m] == rel[m]:
-                            m += 1
-                        if m > self.half:
-                            hit = (i, m, invert_word(rel[m:]))
-                            break
-                    if hit:
+                    m, rel = self._relator_at(doubled, i, i + n)
+                    if m > self.half:
+                        w = free_reduce(invert_word(rel[m:]) + doubled[i + m : i + n])
+                        changed = True
                         break
-                if hit:
-                    i, m, repl = hit
-                    w = free_reduce(repl + doubled[i + m : i + n])
-                    changed = True
             if not changed:
                 return w
 
@@ -183,17 +184,11 @@ class SurfacePresentation:
                 if best is None or (len(rot), rot) < (len(best), best):
                     best = rot
                 if rot not in seen:
-                    doubled = rot + rot
-                    for rel in self.symmetrized:
-                        m = 0
-                        while m < n and m < len(rel) and doubled[m] == rel[m]:
-                            m += 1
-                        if m == self.half:
-                            swapped = self.cyclic_reduce(
-                                invert_word(rel[m:]) + rot[m:]
-                            )
-                            if swapped and swapped not in seen:
-                                frontier.append(swapped)
+                    m, rel = self._relator_at(rot, 0, n)
+                    if m == self.half:
+                        swapped = self.cyclic_reduce(invert_word(rel[m:]) + rot[m:])
+                        if swapped and swapped not in seen:
+                            frontier.append(swapped)
         return best
 
     def conjugacy_classes(self, L):
@@ -201,21 +196,9 @@ class SurfacePresentation:
         length <= L (orientation not quotiented)."""
         if L < 0:
             raise ValueError("L >= 0 required")
-        found = {}
-        stack = [()]
-        while stack:
-            w = stack.pop()
-            if len(w) < L:
-                for g in range(1, self.n_generators + 1):
-                    for s in (g, -g):
-                        if w and w[-1] == -s:
-                            continue
-                        stack.append(w + (s,))
-            if w:
-                key = self.class_key(w)
-                if key and key not in found:
-                    found[key] = ConjClass(self, key)
-        return sorted(found.values(), key=lambda c: (len(c.word), c.word))
+        keys = {self.class_key(w) for w in _ball_words(self, L)}
+        keys.discard(())
+        return [ConjClass(self, k) for k in sorted(keys, key=lambda k: (len(k), k))]
 
 
 @dataclass(frozen=True)
@@ -316,6 +299,21 @@ def octagon_generators(dps=70):
         return gens, float(res)
 
 
+@lru_cache(maxsize=None)
+def _fixed_point_generators(bits):
+    """Signed letter -> (a, b, c, d): the octagon generator, or its
+    inverse, with entries rounded to the nearest integer over 2^bits."""
+    dps = bits // 3 + 10
+    gens, _ = octagon_generators(dps)
+    out = {}
+    with mpmath.workdps(dps):
+        for g, m in gens.items():
+            a, b, c, d = (int(mpmath.nint(mpmath.ldexp(m[i, j], bits)))
+                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+            out[g], out[-g] = (a, b, c, d), (d, -b, -c, a)
+    return out
+
+
 class FuchsianRep:
     """Matrix realization of the presentation; genus 2 uses the octagon."""
 
@@ -326,12 +324,6 @@ class FuchsianRep:
         self.dps = dps
         mp_gens, self.relator_residual = octagon_generators(dps)
         self._mp_gens = mp_gens
-        self.gens = {
-            g: np.array(
-                [[float(m[0, 0]), float(m[0, 1])], [float(m[1, 0]), float(m[1, 1])]]
-            )
-            for g, m in mp_gens.items()
-        }
         with mpmath.workdps(dps):
             self._gens_ld = {
                 g: np.array(
@@ -366,33 +358,30 @@ class FuchsianRep:
                 out = out * m
             return out
 
-    def is_identity(self, word, tol=1e-6):
-        """Does the word represent +-identity?  float64 with running error
-        estimate, escalating to mpmath when inconclusive."""
-        out = np.eye(2)
-        max_norm = 1.0
+    def is_identity(self, word):
+        """Does the word represent +-identity?
+
+        One fixed-point integer product: generator entries over 2^bits with
+        bits >= 3 len(word) + 64, truncated after each step.  Every entry
+        is below 3.905, so every prefix and suffix product has max entry
+        below 7.81^len < 2^(3 len) and the accumulated error stays below
+        2^-50.  A nontrivial element is hyperbolic (the group is discrete
+        and torsion-free), so its trace stays away from +-2 (|trace| >=
+        2 + sqrt 2 on every class up to length 5) and its residual from +-I
+        is far above IDENTITY_RESIDUAL."""
+        # the smallest multiple of 64 that is >= 3 len + 64: few tables
+        bits = 64 * ((3 * len(word) + 127) // 64)
+        gens = _fixed_point_generators(bits)
+        one = 1 << bits
+        p, q, r, s = one, 0, 0, one
         for x in word:
-            m = self.gens[abs(x)]
-            if x < 0:
-                m = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-            out = out @ m
-            max_norm = max(max_norm, float(np.max(np.abs(out))))
-        resid = min(
-            float(np.max(np.abs(out - np.eye(2)))),
-            float(np.max(np.abs(out + np.eye(2)))),
-        )
-        err_est = 1e-12 * max(1, len(word)) * max_norm
-        if resid > max(tol, 100 * err_est):
-            return False
-        # high-precision confirmation
-        dps = min(160, 40 + int(math.log10(max_norm + 1) * 4))
-        with mpmath.workdps(dps):
-            P = self.matrix_mp(word, dps=dps)
-            r = min(
-                max(abs(P[i, j] - (1 if i == j else 0)) for i in (0, 1) for j in (0, 1)),
-                max(abs(P[i, j] + (1 if i == j else 0)) for i in (0, 1) for j in (0, 1)),
-            )
-            return r < tol
+            a, b, c, d = gens[x]
+            p, q, r, s = ((p * a + q * c) >> bits, (p * b + q * d) >> bits,
+                          (r * a + s * c) >> bits, (r * b + s * d) >> bits)
+        off = max(abs(q), abs(r))
+        resid = min(max(off, abs(p - one), abs(s - one)),
+                    max(off, abs(p + one), abs(s + one)))
+        return resid / one < IDENTITY_RESIDUAL
 
     def mobius(self, word):
         m = self.matrix(word)

@@ -23,3 +23,18 @@ def hyperbolic_matrices(draw):
     for g in conj:
         P = P * g
     return P * A * inverse_unimodular(P)
+
+
+def letters(genus):
+    """The signed generator indices of a genus-g surface group."""
+    return [s for g in range(1, 2 * genus + 1) for s in (g, -g)]
+
+
+@st.composite
+def reduced_words(draw, genus, max_size):
+    """A freely reduced word in the surface-group generators."""
+    word = []
+    for _ in range(draw(st.integers(0, max_size))):
+        word.append(draw(st.sampled_from(
+            [s for s in letters(genus) if not word or s != -word[-1]])))
+    return tuple(word)

@@ -67,6 +67,15 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         curve = tmp_path / ("curve%d.json" % len(bad))
         curve.write_text(json.dumps(keys))
         bad.append(["torus-curve", "verify", "--input", str(curve)])
+    # --config values pass the flag's type and choices, like typed ones
+    for i, (values, argv) in enumerate((
+            ({"matrix": None}, ["toral", "eigen"]),
+            ({"N": 2.5}, ["toral", "orbits", "--matrix", "2 1 1 1"]),
+            ({"sign": "x"}, ["chords", "enumerate", "--matrix", "2 1 1 1"]),
+            ({"quiet": "yes"}, ["suite", "acceptance"]))):
+        config = tmp_path / ("values%d.json" % i)
+        config.write_text(json.dumps(values))
+        bad.append(["--config", str(config)] + argv)
     capsys.readouterr()
     for argv in bad:
         assert main(argv) == 2, argv

@@ -200,3 +200,12 @@ def test_all_suites_pass_small():
     for suite in ("torus-bundle", "mcduff-fermi", "mcduff-halfplane", "covers"):
         checks = run_suite(suite, samples=150, tol=1e-8, seed=11)
         assert all(c["pass"] for c in checks), [c for c in checks if not c["pass"]]
+
+
+def test_suites_run_for_seeds_1_to_20():
+    # sample points are drawn 1e-4 inside the box; the finite-difference
+    # checks take only those a whole stencil away from it
+    for suite in ("torus-bundle", "mcduff-fermi", "mcduff-halfplane", "covers"):
+        for seed in range(1, 21):
+            checks = run_suite(suite, samples=100, seed=seed)
+            assert all(c["pass"] for c in checks), (suite, seed)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovlab.surface import (
     ConjClass,
@@ -19,9 +21,11 @@ from anosovlab.surface import (
     parse_word,
 )
 
+from strategies import letters, reduced_words
+
 PRES = SurfacePresentation(2)
 REP = FuchsianRep(PRES)
-ALPHABET = [1, -1, 2, -2, 3, -3, 4, -4]
+ALPHABET = letters(2)
 
 
 def _random_reduced(rng, maxlen):
@@ -71,10 +75,11 @@ def test_dehn_matrix_agreement_battery():
         assert PRES.is_trivial(w) == REP.is_identity(w)
 
 
-def test_dehn_matrix_agreement_injected_trivial():
+@pytest.mark.parametrize("conjugator_len", [8, 16])
+def test_dehn_matrix_agreement_injected_trivial(conjugator_len):
     rng = random.Random(17)
     for trial in range(200):
-        u = _random_reduced(rng, 8)
+        u = _random_reduced(rng, conjugator_len)
         rel = rng.choice(PRES.symmetrized)
         w = free_reduce(u + rel + invert_word(u))
         assert PRES.is_trivial(w)
@@ -83,6 +88,27 @@ def test_dehn_matrix_agreement_injected_trivial():
         w_bad = free_reduce(w + (1,))
         assert not PRES.is_trivial(w_bad)
         assert not REP.is_identity(w_bad)
+
+
+def test_is_identity_long_conjugator():
+    # a ten-letter conjugator: the product grows to norm ~1e7 and cancels
+    u = parse_word("a1B2a2a2A1a2b1b1A2b2")
+    w = free_reduce(u + PRES.relator + invert_word(u))
+    assert PRES.is_trivial(w) and REP.is_identity(w)
+    assert not REP.is_identity(w + (1,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_conjugated_relator_is_dehn_trivial(data):
+    genus = data.draw(st.integers(2, 5))
+    pres = SurfacePresentation(genus)
+    u = data.draw(reduced_words(genus, max_size=20))
+    rel = data.draw(st.sampled_from(pres.symmetrized))
+    w = free_reduce(u + rel + invert_word(u))
+    assert pres.is_trivial(w)
+    letter = data.draw(st.sampled_from(letters(genus)))
+    assert not pres.is_trivial(free_reduce(w + (letter,)))
 
 
 def test_conjugacy_classes_length_one():
