@@ -68,6 +68,18 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _positive_float(text):
+    """argparse type for tolerances: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "need a finite float > 0, got %r" % text)
+    return value
+
+
 def _fr(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
@@ -440,7 +452,7 @@ _GENUS = ("--genus", {"type": int, "default": 2})
 _MAX_NORM = ("--max-norm", {"type": int, "default": 10})
 _TMAX = ("--tmax", {"type": int, "default": 2})
 _CLASSES = ("--classes", {"default": ""})
-_TOL = ("--tol", {"type": float, "default": 1e-8})
+_TOL = ("--tol", {"type": _positive_float, "default": 1e-8})
 
 COMMANDS = {
     "toral": ("hyperbolic toral automorphisms", (
@@ -562,10 +574,12 @@ def _config_default(flag, kwargs, value):
     raise ValueError("bad config file: %r is not a valid %s" % (value, flag))
 
 
-def build_parser(defaults=None):
-    """The argparse tree of COMMANDS plus the common flags.  `defaults`
-    (flag dest -> value, from --config) replace flag defaults and lift
-    `required`; explicit flags still win.  A bad value raises ValueError."""
+def build_parser(defaults=None, command=None):
+    """The argparse tree of COMMANDS plus the common flags.  Every
+    subcommand is listed, but only `command`, the one to be parsed, gets
+    its action and flags.  `defaults` (flag dest -> value, from --config)
+    replace flag defaults and lift `required`; explicit flags still win.
+    A bad value raises ValueError, whichever subcommand it belongs to."""
     defaults = defaults or {}
     common = (
         ("--format", {"choices": ("json", "csv"), "default": "json"}),
@@ -584,13 +598,15 @@ def build_parser(defaults=None):
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, actions) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("action", choices=tuple(actions))
+        if name == command:
+            sp.add_argument("action", choices=tuple(actions))
         for flag, kwargs in flags + common:
             dest = flag[2:].replace("-", "_")
             if dest in defaults:
                 kwargs = dict(kwargs, required=False, default=_config_default(
                     flag, kwargs, defaults[dest]))
-            sp.add_argument(flag, **kwargs)
+            if name == command:
+                sp.add_argument(flag, **kwargs)
     return p
 
 
@@ -617,8 +633,10 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
         defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
+    # the top-level flags take no value, so the first word names the command
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser(defaults).parse_args(argv)
+        args = build_parser(defaults, command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return exc.code if exc.code is not None else 0

@@ -8,7 +8,8 @@ small dense linear systems at a point.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.stats import qmc
@@ -162,6 +163,14 @@ def exterior_derivative(form, point, h=1e-5, force_numeric=False):
     return out
 
 
+@cache
+def _wedge_term(i1, i2):
+    """(sorted i1 + i2, sign of the sort), sign 0 when the indices overlap."""
+    merged = i1 + i2
+    target = tuple(sorted(merged))
+    return target, 0 if set(i1) & set(i2) else _permutation_sign(merged, target)
+
+
 def wedge(val1, k1, val2, k2, dim):
     """Wedge of two form values (dicts on sorted tuples)."""
     out = zero_value(dim, k1 + k2)
@@ -169,12 +178,33 @@ def wedge(val1, k1, val2, k2, dim):
         if c1 == 0.0:
             continue
         for i2, c2 in val2.items():
-            if c2 == 0.0 or set(i1) & set(i2):
+            if c2 == 0.0:
                 continue
-            merged = i1 + i2
-            target = tuple(sorted(merged))
-            out[target] += _permutation_sign(merged, target) * c1 * c2
+            target, sign = _wedge_term(i1, i2)
+            if sign:
+                out[target] += sign * c1 * c2
     return out
+
+
+@cache
+def _leibniz(k):
+    """The k! (sign, permutation) terms of a k x k determinant."""
+    return tuple((_permutation_sign(perm, range(k)), perm)
+                 for perm in permutations(range(k)))
+
+
+def _minor(rows, tgt, src, terms):
+    """det of the minor rows[tgt][src] as the Leibniz sum over `terms`.
+
+    A 1 x 1 minor is its entry exactly, where a LAPACK determinant, formed
+    as sign * exp(log |det|), can miss even that by an ulp."""
+    total = 0.0
+    for sign, perm in terms:
+        prod = sign
+        for r, j in zip(tgt, perm):
+            prod *= rows[r][src[j]]
+        total += prod
+    return total
 
 
 def apply_form(value, vectors):
@@ -182,13 +212,13 @@ def apply_form(value, vectors):
     k = len(vectors)
     if k == 0:
         return value.get((), 0.0)
-    vs = [np.asarray(v, dtype=float) for v in vectors]
+    rows = [np.asarray(v, dtype=float).tolist() for v in vectors]
+    terms = _leibniz(k)
     total = 0.0
     for idx, c in value.items():
         if c == 0.0:
             continue
-        mat = np.array([[v[i] for i in idx] for v in vs])
-        total += c * np.linalg.det(mat)
+        total += c * _minor(rows, range(k), idx, terms)
     return total
 
 
@@ -303,16 +333,15 @@ def pullback(F, form, point, jac=None, h=1e-6):
     p = np.asarray(point, dtype=float)
     J = np.asarray(jac(p), dtype=float) if jac is not None else jacobian_fd(F, p, h)
     target_val = form.value(F(p))
-    k = form.degree
-    n_src = J.shape[1]
-    out = zero_value(n_src, k)
-    for src_idx in combinations(range(n_src), k):
+    rows = J.tolist()
+    terms = _leibniz(form.degree)
+    out = {}
+    for src_idx in combinations(range(J.shape[1]), form.degree):
         total = 0.0
         for tgt_idx, c in target_val.items():
             if c == 0.0:
                 continue
-            minor = J[np.ix_(tgt_idx, src_idx)]
-            total += c * np.linalg.det(minor)
+            total += c * _minor(rows, tgt_idx, src_idx, terms)
         out[src_idx] = total
     return out
 
@@ -320,15 +349,6 @@ def pullback(F, form, point, jac=None, h=1e-6):
 def max_value_deviation(val1, val2):
     keys = set(val1) | set(val2)
     return max(abs(val1.get(k, 0.0) - val2.get(k, 0.0)) for k in keys)
-
-
-def pullback_check(F, source_form, target_value_fn, samples, jac=None, h=1e-6):
-    """max over samples of |F^*(source_form) - target_value_fn(point)|."""
-    worst = 0.0
-    for p in samples:
-        pull = pullback(F, source_form, p, jac=jac, h=h)
-        worst = max(worst, max_value_deviation(pull, target_value_fn(p)))
-    return worst
 
 
 def fd_convergence_ratio(form, points, h=1e-3):

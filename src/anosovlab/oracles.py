@@ -4,8 +4,9 @@ Each oracle recomputes a quantity through a different route than the
 primary code path: cellular chain complexes instead of the Wang/Gysin
 formulas, high-precision or plain floating sign tests instead of exact
 quadratic arithmetic, a point-by-point box scan instead of row intervals,
-dense sampling instead of circle algebra, and direct region integrals
-instead of boundary integrals.
+dense sampling instead of circle algebra, direct region integrals
+instead of boundary integrals, and LAPACK determinants instead of Leibniz
+sums for the minors of a pullback.
 """
 
 from __future__ import annotations
@@ -341,3 +342,47 @@ def stadium_weighted_area_direct(seg_length, h):
     val, _ = quad(lambda y: width(y) / (1.0 - y * y), -h, h, epsabs=1e-12,
                   epsrel=1e-12, limit=200)
     return val
+
+
+# ------------------------------------------------- forms by determinants
+
+def pullback_det(F, form, point, jac=None, h=1e-6):
+    """(F^* form) at a point, each minor by np.linalg.det."""
+    from itertools import combinations
+
+    import numpy as np
+
+    from .forms.calculus import jacobian_fd, zero_value
+
+    p = np.asarray(point, dtype=float)
+    J = np.asarray(jac(p), dtype=float) if jac is not None else jacobian_fd(F, p, h)
+    target_val = form.value(F(p))
+    k = form.degree
+    n_src = J.shape[1]
+    out = zero_value(n_src, k)
+    for src_idx in combinations(range(n_src), k):
+        total = 0.0
+        for tgt_idx, c in target_val.items():
+            if c == 0.0:
+                continue
+            minor = J[np.ix_(tgt_idx, src_idx)]
+            total += c * np.linalg.det(minor)
+        out[src_idx] = total
+    return out
+
+
+def apply_form_det(value, vectors):
+    """A k-form value on k vectors, each minor by np.linalg.det."""
+    import numpy as np
+
+    k = len(vectors)
+    if k == 0:
+        return value.get((), 0.0)
+    vs = [np.asarray(v, dtype=float) for v in vectors]
+    total = 0.0
+    for idx, c in value.items():
+        if c == 0.0:
+            continue
+        mat = np.array([[v[i] for i in idx] for v in vs])
+        total += c * np.linalg.det(mat)
+    return total

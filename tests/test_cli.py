@@ -62,6 +62,10 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
            ["homology", "mapping-torus", "--format", "csv"],
            ["homology", "circle-bundle", "--format", "csv"],
            ["homology", "hochschild", "--format", "csv"]]
+    # a tolerance must be a finite float > 0, or the gate is switched off
+    for tol in ("inf", "nan", "-1"):
+        bad.append(["forms", "check", "--suite", "torus-bundle", "--tol", tol,
+                    "--samples", "20"])
     for keys in ({"results": {"h": 0.5, "delta": 0.4}}, {"seg_length": 1.0},
                  [1, 2]):
         curve = tmp_path / ("curve%d.json" % len(bad))
@@ -72,6 +76,8 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
             ({"matrix": None}, ["toral", "eigen"]),
             ({"N": 2.5}, ["toral", "orbits", "--matrix", "2 1 1 1"]),
             ({"sign": "x"}, ["chords", "enumerate", "--matrix", "2 1 1 1"]),
+            ({"sign": "x"}, ["toral", "eigen", "--matrix", "2 1 1 1"]),
+            ({"tol": "inf"}, ["forms", "check", "--samples", "5"]),
             ({"quiet": "yes"}, ["suite", "acceptance"]))):
         config = tmp_path / ("values%d.json" % i)
         config.write_text(json.dumps(values))
@@ -213,6 +219,15 @@ def test_every_table_entry(command, action, tmp_path, monkeypatch):
     assert doc["command"] == report_command
     assert set(doc["params"]) == param_keys
     assert doc["pass"] == (code == 0)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_subcommand_help_lists_its_flags(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    _, flags, actions = COMMANDS[command]
+    assert "{%s}" % ",".join(actions) in out
+    assert all(flag in out for flag, _ in flags), out
 
 
 def test_config_object_sets_defaults(tmp_path):

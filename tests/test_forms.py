@@ -1,10 +1,15 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anosovlab import oracles
 from anosovlab.forms import (
     DimensionMismatch,
+    apply_form,
     check_nondegenerate,
     coefficient,
     exterior_derivative,
@@ -209,3 +214,119 @@ def test_suites_run_for_seeds_1_to_20():
         for seed in range(1, 21):
             checks = run_suite(suite, samples=100, seed=seed)
             assert all(c["pass"] for c in checks), (suite, seed)
+
+
+# ------------------------------------------- minors and wedge signs
+
+_entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_coeffs = st.one_of(st.just(0.0), _entries)
+
+
+def _values(draw, dim, k):
+    """A k-form value on dim coordinates: every sorted index, some zero."""
+    return {idx: draw(_coeffs) for idx in combinations(range(dim), k)}
+
+
+def _constant_form(dim, value):
+    chart = Chart("flat%d" % dim, tuple("x%d" % i for i in range(dim)),
+                  [(-1, 1)] * dim)
+    k = len(next(iter(value)))
+    return DifferentialForm(chart, k, {idx: (lambda p, c=c: c)
+                                       for idx, c in value.items()})
+
+
+def _scale(value, entries, k):
+    """A bound on every Leibniz term of every minor, times the coefficients."""
+    big = max([1.0] + [abs(x) for x in entries])
+    return (1.0 + sum(abs(c) for c in value.values())) * math.factorial(k) * big ** k
+
+
+@st.composite
+def _pullback_cases(draw):
+    """(J, form value) with J a tgt x src Jacobian and the form on tgt."""
+    tgt, src = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    J = [[draw(_entries) for _ in range(src)] for _ in range(tgt)]
+    return J, _values(draw, tgt, draw(st.integers(0, tgt)))
+
+
+def _pull(J, value):
+    form = _constant_form(len(J), value)
+    point = np.zeros(len(J[0]))
+    F = lambda p: np.zeros(len(J))
+    jac = lambda p: np.array(J)
+    return (pullback(F, form, point, jac=jac),
+            oracles.pullback_det(F, form, point, jac=jac))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_pullback_cases())
+def test_pullback_matches_det_oracle(case):
+    J, value = case
+    got, want = _pull(J, value)
+    k = len(next(iter(value)))
+    tol = 1e-12 * _scale(value, [x for row in J for x in row], k)
+    assert got.keys() == want.keys()
+    assert all(abs(got[i] - want[i]) <= tol for i in got), (got, want)
+    if k == 1:  # a 1 x 1 minor is its entry: no rounding beyond the sum
+        for (s,) in got:
+            total = 0.0
+            for (t,), c in value.items():
+                total += c * J[t][s]
+            assert got[(s,)] == total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), c=_entries, data=st.data())
+def test_top_degree_pullback_is_det(n, c, data):
+    J = [[data.draw(_entries) for _ in range(n)] for _ in range(n)]
+    got, _ = _pull(J, {tuple(range(n)): c})
+    tol = 1e-12 * _scale({(): c}, [x for row in J for x in row], n)
+    assert got.keys() == {tuple(range(n))}
+    assert abs(got[tuple(range(n))] - c * np.linalg.det(np.array(J))) <= tol
+
+
+@st.composite
+def _apply_cases(draw):
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(0, dim))
+    vectors = [[draw(_entries) for _ in range(dim)] for _ in range(k)]
+    return _values(draw, dim, k), vectors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_apply_cases())
+def test_apply_form_matches_det_oracle(case):
+    value, vectors = case
+    k = len(vectors)
+    tol = 1e-12 * _scale(value, [x for v in vectors for x in v], k)
+    got = apply_form(value, [np.array(v) for v in vectors])
+    assert abs(got - oracles.apply_form_det(value, vectors)) <= tol
+
+
+def _wedge_reference(val1, k1, val2, k2, dim):
+    """Wedge with each sign counted afresh from the inversions of i1 + i2."""
+    out = {idx: 0.0 for idx in combinations(range(dim), k1 + k2)}
+    for i1, c1 in val1.items():
+        if c1 == 0.0:
+            continue
+        for i2, c2 in val2.items():
+            merged = i1 + i2
+            if c2 == 0.0 or len(set(merged)) < len(merged):
+                continue
+            inversions = sum(a > b for a, b in combinations(merged, 2))
+            out[tuple(sorted(merged))] += (-1) ** inversions * c1 * c2
+    return out
+
+
+@st.composite
+def _wedge_cases(draw):
+    dim = draw(st.integers(1, 4))
+    k1 = draw(st.integers(0, dim))
+    k2 = draw(st.integers(0, dim - k1))
+    return _values(draw, dim, k1), k1, _values(draw, dim, k2), k2, dim
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_wedge_cases())
+def test_wedge_matches_fresh_signs(case):
+    assert wedge(*case) == _wedge_reference(*case)
