@@ -281,6 +281,14 @@ def _over_common_den(wx, wy):
             wy.numerator * (den // wy.denominator), den)
 
 
+def _tilt(H, X, Y, sign):
+    """Exact sign of b - sign a for w = a vx + b vy, with the integer
+    coefficients of _slope: >= 0 iff the raw slope of w is >= 0."""
+    _, ((c0, e0), (c1, e1), (c2, e2), (c3, e3)) = H.eigen_int
+    return _sign(Y * c2 - X * c3 - sign * (X * c0 - Y * c1),
+                 Y * e2 - X * e3 - sign * (X * e0 - Y * e1), H.D)
+
+
 def _slope(H, X, Y, den, sign):
     """Exact eigen-coefficients and float slope of w = (X/den, Y/den).
 
@@ -349,16 +357,6 @@ def enumerate_chords(H, p, q, sign, k_max, with_chords=True):
         chords=chords,
         counts_by_k=tuple(cum),
     )
-
-
-def eigen_coefficients(H, w):
-    """Solve a*vx + b*vy = w exactly; returns (a, b) as QuadNums."""
-    wx = QuadNum(Fraction(w[0]), 0, H.D)
-    wy = QuadNum(Fraction(w[1]), 0, H.D)
-    det = H.vx[0] * H.vy[1] - H.vx[1] * H.vy[0]
-    a = (wx * H.vy[1] - wy * H.vy[0]) / det
-    b = (H.vx[0] * wy - H.vx[1] * wx) / det
-    return a, b
 
 
 def chord_slope(H, w, sign):
@@ -537,7 +535,7 @@ def product_candidates(H, c01: ChordGen, c12: ChordGen, orbit1: PeriodicOrbit,
         c12.target[1] + c12.n - c12.source[1],
     )
     cone = cone_spec(H, sign)
-    lam_sq = H.lambda_plus * H.lambda_plus
+    A_inv = inverse_unimodular(H.A)
     out = []
     k = k1
     while k - size >= -k_window:
@@ -552,21 +550,18 @@ def product_candidates(H, c01: ChordGen, c12: ChordGen, orbit1: PeriodicOrbit,
         # w02 lies in the open quadrant cone but its slope is in
         # (0, (k+1) nu) in general; reduce into the fundamental domain by
         # the mapping-torus identification (v, z) ~ (A v, z - nu), i.e.
-        # apply A^j with j = floor(slope / nu), decided exactly
-        a, b = eigen_coefficients(H, w02)
-        ratio = b / (a * sign)
+        # apply A^j with j = floor(slope / nu), decided exactly: A lowers
+        # the slope by nu
+        X, Y, den = _over_common_den(*w02)
         j = 0
-        while (ratio - lam_sq).sign() >= 0:
-            ratio = ratio / lam_sq
+        while _tilt(H, *H.A.apply((X, Y)), sign) >= 0:
+            X, Y = H.A.apply((X, Y))
             j += 1
-        while ratio.sign() > 0 and (ratio - 1).sign() < 0:
-            ratio = ratio * lam_sq
+        while _tilt(H, X, Y, sign) < 0:
+            X, Y = A_inv.apply((X, Y))
             j -= 1
         Aj = _pow_signed(H.A, j)
-        w_red = (
-            Aj.rows[0][0] * w02[0] + Aj.rows[0][1] * w02[1],
-            Aj.rows[1][0] * w02[0] + Aj.rows[1][1] * w02[1],
-        )
+        w_red = (Fraction(X, den), Fraction(Y, den))
         assert cone_contains(cone, w_red)
         source = torus_apply(Aj, c01.source)
         target = torus_apply(_pow_signed(H.A, j + k), c12.target)

@@ -67,6 +67,19 @@ def _int_at_least(low):
 _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
+# chords enumerate lists about kmax^2 chords (140 MB at kmax 400): a larger
+# box would not fit in memory.  hw torus shares the flag and the bound.
+KMAX_LIMIT = 1000
+
+
+def _kmax(text):
+    """argparse type for --kmax: an integer in [0, KMAX_LIMIT]."""
+    value = _non_negative_int(text)
+    if value > KMAX_LIMIT:
+        raise argparse.ArgumentTypeError(
+            "need an integer <= %d, got %r" % (KMAX_LIMIT, text))
+    return value
+
 
 def _positive_float(text):
     """argparse type for tolerances: a finite float > 0."""
@@ -469,7 +482,7 @@ COMMANDS = {
         ("--p", {"default": "0 0"}),
         ("--q", {"default": "0 0"}),
         ("--sign", {"choices": ("+", "-"), "default": "+"}),
-        ("--kmax", {"type": int, "default": 20}),
+        ("--kmax", {"type": _kmax, "default": 20}),
         ("--max-norm", {"type": int, "default": 20}),
     ), {
         "enumerate": (_chords_enumerate, ("matrix", "p", "q", "sign", "kmax"),
@@ -487,7 +500,7 @@ COMMANDS = {
         ("--N", {"type": int, "default": 2}),
         ("--orbit1", {"type": int, "default": 0}),
         ("--orbit2", {"type": int, "default": 0}),
-        ("--kmax", {"type": int, "default": 5}),
+        ("--kmax", {"type": _kmax, "default": 5}),
     ), {
         "mcduff": (_hw_mcduff, ("genus", "gamma", "beta", "L", "T"),
                    "hw mcduff"),
@@ -542,7 +555,7 @@ COMMANDS = {
         "ortho": (_hyperbolic_ortho, ("g1", "g2"), "hyperbolic ortho"),
     }),
     "torus-curve": ("exact Lagrangian beta-curves", (
-        ("--delta", {"type": float, "default": 0.4}),
+        ("--delta", {"type": _positive_float, "default": 0.4}),
         ("--height-frac", {"type": float, "default": 0.9}),
         _TOL,
         ("--samples", {"type": _positive_int, "default": 256}),

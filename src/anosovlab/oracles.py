@@ -5,18 +5,21 @@ primary code path: cellular chain complexes instead of the Wang/Gysin
 formulas, high-precision or plain floating sign tests instead of exact
 quadratic arithmetic, a point-by-point box scan instead of row intervals,
 dense sampling instead of circle algebra, direct region integrals
-instead of boundary integrals, and LAPACK determinants instead of Leibniz
-sums for the minors of a pullback.
+instead of boundary integrals, LAPACK determinants instead of Leibniz
+sums for the minors of a pullback, QuadNum eigen-coefficients instead of
+integer ones for chord slopes, and the geometric mpmath construction of
+the genus-2 octagon group instead of its exact Z[sqrt 2] data.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
-from .exact import GradedZModule, IntMatrix
+from .exact import GradedZModule, IntMatrix, QuadNum
 from .exact.intmat import chain_homology
 from .chords import cone_spec
 from .toral import torus_apply
@@ -176,6 +179,18 @@ def cone_box_area(H, sign, k, grid=1500):
     inside = (e0[0] * Y - e0[1] * X > 0) & (X * e1[1] - Y * e1[0] > 0)
     cell = (2.0 * k / grid) ** 2
     return float(inside.sum()) * cell
+
+
+# ------------------------------------------------- chord slopes
+
+def eigen_coefficients(H, w):
+    """Solve a*vx + b*vy = w exactly; returns (a, b) as QuadNums."""
+    wx = QuadNum(Fraction(w[0]), 0, H.D)
+    wy = QuadNum(Fraction(w[1]), 0, H.D)
+    det = H.vx[0] * H.vy[1] - H.vx[1] * H.vy[0]
+    a = (wx * H.vy[1] - wy * H.vy[0]) / det
+    b = (H.vx[0] * wy - H.vx[1] * wx) / det
+    return a, b
 
 
 # ------------------------------------------------- chord box scan
@@ -386,3 +401,80 @@ def apply_form_det(value, vectors):
         mat = np.array([[v[i] for i in idx] for v in vs])
         total += c * np.linalg.det(mat)
     return total
+
+
+# ------------------------------------------------ octagon construction
+# The geometric construction of the genus-2 side pairings in mpmath, the
+# reference for the exact Z[sqrt 2] data of surface.FuchsianRep.
+
+def _mp_rotation(phi):
+    c, s = mpmath.cos(phi / 2), mpmath.sin(phi / 2)
+    return mpmath.matrix([[c, s], [-s, c]])
+
+
+def _mp_apply(m, z):
+    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+
+
+def _mp_normalizer(P, Q):
+    """Isometry sending P to i and Q up the imaginary axis."""
+    s = mpmath.sqrt(P.imag)
+    M = mpmath.matrix([[1 / s, -P.real / s], [0, s]])
+    Q1 = _mp_apply(M, Q)
+    if abs(Q1.real) < mpmath.mpf(10) ** (-mpmath.mp.dps + 8):
+        psi = mpmath.pi / 2 if Q1.imag > 1 else -mpmath.pi / 2
+    else:
+        c = (abs(Q1) ** 2 - 1) / (2 * Q1.real)
+        t = mpmath.mpc(0, 1) * (mpmath.mpc(0, 1) - c)
+        if t.real * Q1.real < 0:
+            t = -t
+        psi = mpmath.atan2(t.imag, t.real)
+    R = _mp_rotation(mpmath.pi / 2 - psi)
+    return R * M
+
+
+def _mp_inv(m):
+    return mpmath.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / (
+        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    )
+
+
+@lru_cache(maxsize=None)
+def octagon_generators(dps=70):
+    """Side-pairing matrices of the regular angle-pi/4 octagon, genus 2.
+
+    Sides are labeled a1 b1 A1 B1 a2 b2 A2 B2 counterclockwise; the pairing
+    for a generator g maps the side labeled g^{-1} onto the side labeled g
+    with reversed orientation.  Returns (mp matrices dict, relator residual).
+    """
+    with mpmath.workdps(dps):
+        cosh_rv = 3 + 2 * mpmath.sqrt(2)
+        sinh_rv = mpmath.sqrt(cosh_rv**2 - 1)
+        rho = sinh_rv / (1 + cosh_rv)  # disk radius of the vertices
+        verts = []
+        for k in range(8):
+            ang = mpmath.pi / 8 + k * mpmath.pi / 4
+            w = rho * mpmath.exp(mpmath.mpc(0, 1) * ang)
+            verts.append(mpmath.mpc(0, 1) * (1 + w) / (1 - w))  # Cayley map
+        labels = [1, 2, -1, -2, 3, 4, -3, -4]  # a1 b1 A1 B1 a2 b2 A2 B2
+        gens = {}
+        for g in (1, 2, 3, 4):
+            i = labels.index(g)
+            j = labels.index(-g)
+            N1 = _mp_normalizer(verts[j], verts[(j + 1) % 8])
+            N2 = _mp_normalizer(verts[(i + 1) % 8], verts[i])
+            gens[g] = _mp_inv(N2) * N1
+        # the geometric pairings satisfy a b^-1 a^-1 b c d^-1 c^-1 d = 1;
+        # inverting the b-type pairings turns that into the standard
+        # commutator relator in (a1, b1, a2, b2)
+        gens[2] = _mp_inv(gens[2])
+        gens[4] = _mp_inv(gens[4])
+        rel = mpmath.matrix([[1, 0], [0, 1]])
+        for g in (1, 2, -1, -2, 3, 4, -3, -4):
+            m = gens[abs(g)] if g > 0 else _mp_inv(gens[abs(g)])
+            rel = rel * m
+        res = min(
+            max(abs(rel[i, j] - (1 if i == j else 0)) for i in (0, 1) for j in (0, 1)),
+            max(abs(rel[i, j] + (1 if i == j else 0)) for i in (0, 1) for j in (0, 1)),
+        )
+        return gens, float(res)

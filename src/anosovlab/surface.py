@@ -5,8 +5,11 @@ Words are tuples of signed generator indices (a_i = 2i-1, b_i = 2i,
 negatives are inverses).  The relator is the product of commutators, whose
 symmetrized closure has pieces of length 1, so Dehn's greedy shortening,
 over an index of relators by their first two letters, solves the word
-problem.  The Fuchsian side is built in high precision (mpmath); an exact
-integer product decides +-I and float64 matrices serve the geometry.
+problem.  The genus-2 octagon group is arithmetic: every element is four
+Z[sqrt 2] coordinates in the basis 1, a1, b1, a1 b1, so one exact integer
+product decides +-I and gives the trace behind geodesic lengths.  Float64
+matrices, from generator entries rounded once from closed forms, serve the
+geometry.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .hyperbolic import Geodesic, Mobius, intersect
@@ -28,10 +31,6 @@ class NotHyperbolicElement(ValueError):
 
 class TrivialClass(ValueError):
     pass
-
-
-# max-entry distance from +-I below which FuchsianRep.is_identity says yes
-IDENTITY_RESIDUAL = 1e-6
 
 
 # ------------------------------------------------------------ words
@@ -218,123 +217,132 @@ class ConjClass:
 
 
 # -------------------------------------------------- Fuchsian octagon
+#
+# The octagon group is arithmetic: with A = a1 and B = b1, every element is
+# c0 + c1 A + c2 B + c3 AB with c0, ..., c3 in Z[sqrt 2].  x + y sqrt 2 is
+# the pair (x, y), an element the 8 integers of its coordinates, and right
+# multiplication an 8 x 8 integer matrix acting on rows.  Products follow
+# from tA = tB = 2 + sqrt 2, tAB = 2 + 2 sqrt 2 and the rules
+# A^2 = tA A - 1, B^2 = tB B - 1, BA = tB A + tA B - AB + (tAB - tA tB).
 
-def _mp_rotation(phi):
-    c, s = mpmath.cos(phi / 2), mpmath.sin(phi / 2)
-    return mpmath.matrix([[c, s], [-s, c]])
+# coordinates of the side pairings of the regular angle-pi/4 octagon (the
+# construction is oracles.octagon_generators); every inverse is tr g - g
+_OCTAGON = {
+    1: (0, 0, 1, 0, 0, 0, 0, 0),
+    2: (0, 0, 0, 0, 1, 0, 0, 0),
+    3: (8, 5, -5, -3, -2, -1, 2, 1),
+    4: (-4, -3, 4, 3, 1, 1, -2, -1),
+}
 
-
-def _mp_apply(m, z):
-    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
-
-
-def _mp_normalizer(P, Q):
-    """Isometry sending P to i and Q up the imaginary axis."""
-    s = mpmath.sqrt(P.imag)
-    M = mpmath.matrix([[1 / s, -P.real / s], [0, s]])
-    Q1 = _mp_apply(M, Q)
-    if abs(Q1.real) < mpmath.mpf(10) ** (-mpmath.mp.dps + 8):
-        psi = mpmath.pi / 2 if Q1.imag > 1 else -mpmath.pi / 2
-    else:
-        c = (abs(Q1) ** 2 - 1) / (2 * Q1.real)
-        t = mpmath.mpc(0, 1) * (mpmath.mpc(0, 1) - c)
-        if t.real * Q1.real < 0:
-            t = -t
-        psi = mpmath.atan2(t.imag, t.real)
-    R = _mp_rotation(mpmath.pi / 2 - psi)
-    return R * M
+_ONE, _MINUS_ONE = [1] + [0] * 7, [-1] + [0] * 7
 
 
-def _mp_inv(m):
-    return mpmath.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / (
-        m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    )
+def _zmat(rows):
+    """The integer matrix of a matrix over Z[sqrt 2] acting on rows."""
+    return np.block([[np.array(((x, y), (2 * y, x)), dtype=object) for x, y in row]
+                     for row in rows])
 
 
-def _to_longdouble(x):
-    """Split an mpf into two float64 summands to fill the 64-bit mantissa."""
-    hi = float(x)
-    lo = float(x - mpmath.mpf(hi))
-    return np.longdouble(hi) + np.longdouble(lo)
+def _scalar(x, y):
+    return np.kron(np.eye(4, dtype=object), _zmat([[(x, y)]]))
 
 
-@lru_cache(maxsize=None)
-def octagon_generators(dps=70):
-    """Side-pairing matrices of the regular angle-pi/4 octagon, genus 2.
+# tr 1, tr A, tr B, tr AB
+_TRACE_COLS = _zmat([[(2, 0)], [(2, 1)], [(2, 1)], [(2, 2)]]).T.tolist()
+# row i: the coordinates of e_i A, resp. e_i B, for the basis e = (1, A, B, AB)
+_RIGHT_A = _zmat((((0, 0), (1, 0), (0, 0), (0, 0)),
+                  ((-1, 0), (2, 1), (0, 0), (0, 0)),
+                  ((-4, -2), (2, 1), (2, 1), (-1, 0)),
+                  ((-2, -1), (2, 2), (1, 0), (0, 0))))  # ABA = tAB A + B - tB
+_RIGHT_B = _zmat((((0, 0), (0, 0), (1, 0), (0, 0)),
+                  ((0, 0), (0, 0), (0, 0), (1, 0)),
+                  ((-1, 0), (0, 0), (2, 1), (0, 0)),
+                  ((0, 0), (-1, 0), (0, 0), (2, 1))))   # AB B = tB AB - A
 
-    Sides are labeled a1 b1 A1 B1 a2 b2 A2 B2 counterclockwise; the pairing
-    for a generator g maps the side labeled g^{-1} onto the side labeled g
-    with reversed orientation.  Returns (mp matrices dict, relator residual).
-    """
-    with mpmath.workdps(dps):
-        cosh_rv = 3 + 2 * mpmath.sqrt(2)
-        sinh_rv = mpmath.sqrt(cosh_rv**2 - 1)
-        rho = sinh_rv / (1 + cosh_rv)  # disk radius of the vertices
-        verts = []
-        for k in range(8):
-            ang = mpmath.pi / 8 + k * mpmath.pi / 4
-            w = rho * mpmath.exp(mpmath.mpc(0, 1) * ang)
-            verts.append(mpmath.mpc(0, 1) * (1 + w) / (1 - w))  # Cayley map
-        labels = [1, 2, -1, -2, 3, 4, -3, -4]  # a1 b1 A1 B1 a2 b2 A2 B2
-        gens = {}
-        for g in (1, 2, 3, 4):
-            i = labels.index(g)
-            j = labels.index(-g)
-            N1 = _mp_normalizer(verts[j], verts[(j + 1) % 8])
-            N2 = _mp_normalizer(verts[(i + 1) % 8], verts[i])
-            gens[g] = _mp_inv(N2) * N1
-        # the geometric pairings satisfy a b^-1 a^-1 b c d^-1 c^-1 d = 1;
-        # inverting the b-type pairings turns that into the standard
-        # commutator relator in (a1, b1, a2, b2)
-        gens[2] = _mp_inv(gens[2])
-        gens[4] = _mp_inv(gens[4])
-        rel = mpmath.matrix([[1, 0], [0, 1]])
-        for g in (1, 2, -1, -2, 3, 4, -3, -4):
-            m = gens[abs(g)] if g > 0 else _mp_inv(gens[abs(g)])
-            rel = rel * m
-        res = min(
-            max(abs(rel[i, j] - (1 if i == j else 0)) for i in (0, 1) for j in (0, 1)),
-            max(abs(rel[i, j] + (1 if i == j else 0)) for i in (0, 1) for j in (0, 1)),
-        )
-        return gens, float(res)
+
+def _apply(v, cols):
+    """The row v of 8 integers times the matrix with the given columns."""
+    a, b, c, d, e, f, g, h = v
+    return [a * c0 + b * c1 + c * c2 + d * c3 + e * c4 + f * c5 + g * c6 + h * c7
+            for c0, c1, c2, c3, c4, c5, c6, c7 in cols]
 
 
 @lru_cache(maxsize=None)
-def _fixed_point_generators(bits):
-    """Signed letter -> (a, b, c, d): the octagon generator, or its
-    inverse, with entries rounded to the nearest integer over 2^bits."""
-    dps = bits // 3 + 10
-    gens, _ = octagon_generators(dps)
+def _letter(x):
+    """Right multiplication by the signed letter x; g^-1 = tr g - g."""
+    c = _OCTAGON[abs(x)]
+    basis = (np.eye(8, dtype=object), _RIGHT_A, _RIGHT_B, _RIGHT_A @ _RIGHT_B)
+    R = sum(E @ _scalar(*c[2 * i : 2 * i + 2]) for i, E in enumerate(basis))
+    return R if x > 0 else _scalar(*_apply(c, _TRACE_COLS)) - R
+
+
+@lru_cache(maxsize=None)
+def _block(word):
+    """Columns of right multiplication by a word of one to three letters."""
+    M = _letter(word[0])
+    for x in word[1:]:
+        M = M @ _letter(x)
+    return M.T.tolist()
+
+
+def _coords(word):
+    # three letters per step: the 456 reduced blocks fill the cache quickly
+    v = [1, 0, 0, 0, 0, 0, 0, 0]
+    for i in range(0, len(word), 3):
+        v = _apply(v, _block(word[i : i + 3]))
+    return v
+
+
+def _sign(x, y):
+    """Sign of x + y sqrt 2 for integers x, y."""
+    s = x if x * x > 2 * y * y else y
+    return (s > 0) - (s < 0)
+
+
+# sqrt 2 and omega = sqrt(1 + sqrt 2) to 300 bits, far past the 106 of hi + lo
+_BITS = 300
+_ROOT2 = math.isqrt(2 << 2 * _BITS)
+_OMEGA = math.isqrt((1 << 2 * _BITS) + (_ROOT2 << _BITS))
+
+
+def _octagon_matrices(root2, omega):
+    """a1, b1, a2, b2 from the closed forms of a1, b1 and the coordinates,
+    in the number kind (Fraction, mpf) of root2 = sqrt 2 and omega."""
+    t, u = 2 + root2, 2 * omega
+    A = ((t + root2 * u) / 2, t / 2), (-t / 2, (t - root2 * u) / 2)
+    B = ((t - u) / 2, (u - t) / 2), ((t + u) / 2, (t + u) / 2)
+    AB = [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in (0, 1)] for i in (0, 1)]
     out = {}
-    with mpmath.workdps(dps):
-        for g, m in gens.items():
-            a, b, c, d = (int(mpmath.nint(mpmath.ldexp(m[i, j], bits)))
-                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-            out[g], out[-g] = (a, b, c, d), (d, -b, -c, a)
+    for g, c in _OCTAGON.items():
+        coeffs = [c[k] + c[k + 1] * root2 for k in (0, 2, 4, 6)]
+        out[g] = [[sum(x * E[i][j] for x, E in zip(coeffs, (((1, 0), (0, 1)), A, B, AB)))
+                   for j in (0, 1)] for i in (0, 1)]
     return out
+
+
+def _longdouble(x):
+    """The Fraction x as hi + lo, hi nearest to x and lo to x - hi."""
+    hi = float(x)
+    return np.longdouble(hi) + np.longdouble(float(x - Fraction(hi)))
 
 
 class FuchsianRep:
     """Matrix realization of the presentation; genus 2 uses the octagon."""
 
-    def __init__(self, presentation, dps=70):
+    def __init__(self, presentation):
         if presentation.genus != 2:
             raise ValueError("built-in Fuchsian data covers genus 2 only")
         self.presentation = presentation
-        self.dps = dps
-        mp_gens, self.relator_residual = octagon_generators(dps)
-        self._mp_gens = mp_gens
-        with mpmath.workdps(dps):
-            self._gens_ld = {
-                g: np.array(
-                    [
-                        [_to_longdouble(m[0, 0]), _to_longdouble(m[0, 1])],
-                        [_to_longdouble(m[1, 0]), _to_longdouble(m[1, 1])],
-                    ],
-                    dtype=np.longdouble,
-                )
-                for g, m in mp_gens.items()
-            }
+        rel = _coords(presentation.relator)
+        self.relator_residual = float(min(
+            max(abs(a - b) for a, b in zip(rel, one)) for one in (_ONE, _MINUS_ONE)))
+        mats = _octagon_matrices(Fraction(_ROOT2, 1 << _BITS),
+                                 Fraction(_OMEGA, 1 << _BITS))
+        self._gens_ld = {
+            g: np.array([[_longdouble(x) for x in row] for row in m],
+                        dtype=np.longdouble)
+            for g, m in mats.items()
+        }
 
     def matrix(self, word):
         # accumulate in extended precision: conjugated words grow like
@@ -349,39 +357,27 @@ class FuchsianRep:
         return out.astype(float)
 
     def matrix_mp(self, word, dps=None):
-        with mpmath.workdps(dps or self.dps):
-            out = mpmath.matrix([[1, 0], [0, 1]])
+        """The product at dps digits (default 70), from the closed forms."""
+        import mpmath
+
+        with mpmath.workdps(dps or 70):
+            r2 = mpmath.sqrt(2)
+            gens = _octagon_matrices(r2, mpmath.sqrt(1 + r2))
+            out = mpmath.eye(2)
             for x in word:
-                m = self._mp_gens[abs(x)]
-                if x < 0:
-                    m = _mp_inv(m)
-                out = out * m
+                (a, b), (c, d) = gens[abs(x)]
+                out = out * mpmath.matrix([[a, b], [c, d]] if x > 0 else [[d, -b], [-c, a]])
             return out
 
-    def is_identity(self, word):
-        """Does the word represent +-identity?
+    def trace(self, word):
+        """The exact trace x + y sqrt 2 of the word, as (x, y)."""
+        return tuple(_apply(_coords(word), _TRACE_COLS))
 
-        One fixed-point integer product: generator entries over 2^bits with
-        bits >= 3 len(word) + 64, truncated after each step.  Every entry
-        is below 3.905, so every prefix and suffix product has max entry
-        below 7.81^len < 2^(3 len) and the accumulated error stays below
-        2^-50.  A nontrivial element is hyperbolic (the group is discrete
-        and torsion-free), so its trace stays away from +-2 (|trace| >=
-        2 + sqrt 2 on every class up to length 5) and its residual from +-I
-        is far above IDENTITY_RESIDUAL."""
-        # the smallest multiple of 64 that is >= 3 len + 64: few tables
-        bits = 64 * ((3 * len(word) + 127) // 64)
-        gens = _fixed_point_generators(bits)
-        one = 1 << bits
-        p, q, r, s = one, 0, 0, one
-        for x in word:
-            a, b, c, d = gens[x]
-            p, q, r, s = ((p * a + q * c) >> bits, (p * b + q * d) >> bits,
-                          (r * a + s * c) >> bits, (r * b + s * d) >> bits)
-        off = max(abs(q), abs(r))
-        resid = min(max(off, abs(p - one), abs(s - one)),
-                    max(off, abs(p + one), abs(s + one)))
-        return resid / one < IDENTITY_RESIDUAL
+    def is_identity(self, word):
+        """Does the word represent +-identity?  Exact equality of its
+        Z[sqrt 2] coordinates with +-(1, 0, 0, 0)."""
+        v = _coords(word)
+        return v == _ONE or v == _MINUS_ONE
 
     def mobius(self, word):
         m = self.matrix(word)
@@ -397,15 +393,14 @@ class FuchsianRep:
 def geodesic_length(rep, word):
     """Length of the closed geodesic of the class: 2 acosh(|tr|/2).
 
-    The trace is evaluated in high precision: conjugated representatives
-    cancel norm growth of order e^len and the class-function property must
-    survive that cancellation."""
-    with mpmath.workdps(max(30, 10 + len(word))):
-        P = rep.matrix_mp(word)
-        tr = abs(P[0, 0] + P[1, 1])
-        if tr <= 2:
-            raise NotHyperbolicElement("trace %s <= 2" % mpmath.nstr(tr))
-        return float(2 * mpmath.acosh(tr / 2))
+    The trace is exact, so the length is a class function to the last bit
+    and |tr| > 2 is decided without rounding."""
+    x, y = rep.trace(word)
+    if _sign(x - 2, y) <= 0 and _sign(x + 2, y) >= 0:
+        raise NotHyperbolicElement("trace %d%+d sqrt 2 is in [-2, 2]" % (x, y))
+    if abs(x) > 1 << 500:  # past float range, where acosh(u) = log(2 u)
+        return 2 * (math.log(abs(x)) + math.log1p(y / x * math.sqrt(2)))
+    return 2 * math.acosh(abs(x + y * math.sqrt(2)) / 2)
 
 
 def class_distinctness_mcduff(k, cls: ConjClass):

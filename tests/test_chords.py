@@ -17,14 +17,17 @@ from anosovlab.chords import (
     class_disjointness,
     cone_contains,
     cone_spec,
-    eigen_coefficients,
     enumerate_chords,
     enumerate_rational_fibers,
     homotopy_class,
     hw_rank_table,
     product_candidates,
 )
-from anosovlab.oracles import chord_membership_float, chord_membership_mp
+from anosovlab.oracles import (
+    chord_membership_float,
+    chord_membership_mp,
+    eigen_coefficients,
+)
 from anosovlab.toral import eigen_data, orbits_up_to_period, parse_matrix
 from strategies import hyperbolic_matrices
 
@@ -294,8 +297,6 @@ def test_product_candidates_bookkeeping_nontrivial_orbit():
 def test_product_candidates_slope_interpolation():
     # the raw slope of the concatenated class lies between the input slope
     # and the monodromy-shifted input slope
-    from anosovlab.chords import eigen_coefficients
-
     orbs = orbits_up_to_period(CAT, 1)
     fixed = orbs[0]
     cs = enumerate_chords(H, (0, 0), (0, 0), +1, 6)

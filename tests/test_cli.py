@@ -1,11 +1,12 @@
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from anosovlab import acceptance
-from anosovlab.cli import COMMANDS, emit, main
+from anosovlab.cli import COMMANDS, KMAX_LIMIT, emit, main
 
 
 def _run(argv):
@@ -66,6 +67,9 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     for tol in ("inf", "nan", "-1"):
         bad.append(["forms", "check", "--suite", "torus-bundle", "--tol", tol,
                     "--samples", "20"])
+    # a curve width must be a finite float > 0: inf printed Infinity, not JSON
+    for delta in ("inf", "nan", "0", "-1"):
+        bad.append(["torus-curve", "build", "--delta", delta])
     for keys in ({"results": {"h": 0.5, "delta": 0.4}}, {"seg_length": 1.0},
                  [1, 2]):
         curve = tmp_path / ("curve%d.json" % len(bad))
@@ -78,6 +82,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
             ({"sign": "x"}, ["chords", "enumerate", "--matrix", "2 1 1 1"]),
             ({"sign": "x"}, ["toral", "eigen", "--matrix", "2 1 1 1"]),
             ({"tol": "inf"}, ["forms", "check", "--samples", "5"]),
+            ({"delta": "inf"}, ["torus-curve", "build"]),
             ({"quiet": "yes"}, ["suite", "acceptance"]))):
         config = tmp_path / ("values%d.json" % i)
         config.write_text(json.dumps(values))
@@ -89,6 +94,24 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         assert out == "" and "error:" in err, argv
     monkeypatch.setenv("ANOSOVLAB_SEED", "seven")
     assert main(["forms", "check", "--samples", "5"]) == 2
+
+
+def test_huge_kmax_is_rejected_before_any_work(capsys):
+    # a box of 10^12 rows once ended in a MemoryError traceback with exit 1
+    tracemalloc.start()
+    try:
+        for argv in (["chords", "enumerate", "--matrix", "2 1 1 1"],
+                     ["hw", "torus"]):
+            assert main(argv + ["--kmax", "1000000000000"]) == 2
+            assert main(argv + ["--kmax", str(KMAX_LIMIT + 1)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: argument --kmax") == 4
+    code, out = _run(["hw", "torus", "--N", "1", "--kmax", str(KMAX_LIMIT)])
+    assert code == 0 and json.loads(out.decode())["params"]["kmax"] == KMAX_LIMIT
 
 
 def test_json_round_trip():

@@ -1,15 +1,20 @@
 import random
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anosovlab.oracles import octagon_generators
 from anosovlab.surface import (
     ConjClass,
     FuchsianRep,
     NotHyperbolicElement,
     SurfacePresentation,
     TrivialClass,
+    _ball_words,
+    _coords,
     class_distinctness_mcduff,
     double_coset_count,
     format_word,
@@ -62,10 +67,88 @@ def test_free_reduction():
 
 def test_octagon_certificates():
     assert REP.relator_residual < 1e-8
-    import numpy as np
-
     for g in (1, 2, 3, 4):
         assert abs(np.trace(REP.matrix((g,)))) > 2
+
+
+def test_exact_relator_product_is_identity():
+    # the certificate is exact, and stays a float for the reports
+    assert REP.relator_residual == 0.0 and type(REP.relator_residual) is float
+    assert _coords(PRES.relator) == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert all(REP.is_identity(r) for r in PRES.symmetrized)
+
+
+WORDS = st.lists(st.sampled_from(ALPHABET), max_size=30).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=WORDS, q=WORDS, u=WORDS, rel=st.sampled_from(PRES.symmetrized))
+def test_is_identity_matches_dehn_on_unreduced_words(p, q, u, rel):
+    # words need not be reduced; u R u^-1 is trivial for any u
+    conj = u + rel + invert_word(u)
+    assert REP.is_identity(conj) and PRES.is_trivial(conj)
+    assert REP.is_identity(p + conj + invert_word(p))
+    for w in (p, p + q, p + conj + q, conj + p):
+        assert REP.is_identity(w) == PRES.is_trivial(w)
+
+
+def _oracle_product(word):
+    gens, _ = octagon_generators(70)
+    out = mpmath.eye(2)
+    for x in word:
+        out = out * (gens[x] if x > 0 else mpmath.inverse(gens[-x]))
+    return out
+
+
+def _max_gap(m, n):
+    scale = max(1, max(abs(m[i, j]) for i in (0, 1) for j in (0, 1)))
+    return max(abs(m[i, j] - n[i, j]) for i in (0, 1) for j in (0, 1)) / scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(word=st.lists(st.sampled_from(ALPHABET), max_size=12).map(tuple))
+def test_exact_data_matches_the_construction(word):
+    # the Z[sqrt 2] coordinates over the constructed a1 and b1, and the
+    # product of the closed-form entries, agree with the constructed product
+    with mpmath.workdps(70):
+        gens, _ = octagon_generators(70)
+        A, B = gens[1], gens[2]
+        basis = (mpmath.eye(2), A, B, A * B)
+        v = _coords(word)
+        from_coords = sum((basis[k] * (v[2 * k] + v[2 * k + 1] * mpmath.sqrt(2))
+                           for k in range(4)), mpmath.zeros(2))
+        target = _oracle_product(word)
+        assert _max_gap(from_coords, target) < mpmath.mpf(10) ** -60
+        assert _max_gap(REP.matrix_mp(word, dps=70), target) < mpmath.mpf(10) ** -60
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(word=st.lists(st.sampled_from(ALPHABET), max_size=20).map(tuple))
+def test_mp_trace_matches_exact_trace(word):
+    x, y = REP.trace(word)
+    with mpmath.workdps(100):
+        m = REP.matrix_mp(word, dps=100)
+        exact = x + y * mpmath.sqrt(2)
+        assert abs(m[0, 0] + m[1, 1] - exact) < mpmath.mpf(10) ** -80 * max(1, abs(exact))
+
+
+def _split(v):
+    """An mpf as the longdouble sum of its nearest float and the rest's."""
+    return np.longdouble(float(v)) + np.longdouble(float(v - mpmath.mpf(float(v))))
+
+
+def test_float_matrices_bit_identical_to_the_construction():
+    # the geometry (axes, intersection counts) reads these float64 products;
+    # the reference accumulates the split constructed entries in longdouble
+    with mpmath.workdps(70):
+        gens = {g: np.array([[_split(m[i, j]) for j in (0, 1)] for i in (0, 1)])
+                for g, m in octagon_generators(70)[0].items()}
+    for w in _ball_words(PRES, 5):
+        ref = np.eye(2, dtype=np.longdouble)
+        for x in w:
+            (a, b), (c, d) = gens[abs(x)]
+            ref = ref @ (gens[x] if x > 0 else np.array([[d, -b], [-c, a]]))
+        assert REP.matrix(w).tobytes() == ref.astype(float).tobytes(), w
 
 
 def test_dehn_matrix_agreement_battery():
@@ -145,6 +228,28 @@ def test_geodesic_length_class_function():
     assert abs(geodesic_length(REP, base + base) - 2 * l0) < 1e-10
     with pytest.raises(NotHyperbolicElement):
         geodesic_length(REP, ())
+
+
+@pytest.mark.parametrize("conjugator_len", [60, 80, 200])
+def test_geodesic_length_long_conjugators(conjugator_len):
+    # an mpmath trace drifted by 8.6e-8 at 60 letters and raised at 80
+    rng = random.Random(conjugator_len)
+    u = [rng.choice(ALPHABET)]
+    while len(u) < conjugator_len:
+        g = rng.choice(ALPHABET)
+        if g != -u[-1]:
+            u.append(g)
+    base = parse_word("a1b1")
+    conj = free_reduce(tuple(u) + base + invert_word(tuple(u)))
+    assert geodesic_length(REP, conj) == geodesic_length(REP, base)
+
+
+@pytest.mark.parametrize("power", [100, 460, 470, 2000])
+def test_geodesic_length_of_powers(power):
+    # the trace of (a1b1)^470 is past float range
+    l0 = geodesic_length(REP, parse_word("a1b1"))
+    assert geodesic_length(REP, parse_word("a1b1") * power) == \
+        pytest.approx(power * l0, rel=1e-13)
 
 
 def test_class_distinctness():
