@@ -67,22 +67,31 @@ def _int_at_least(low):
 _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
+
+def _count_at_most(limit):
+    """argparse type for window sizes: an integer in [0, limit]."""
+    def parse(text):
+        value = _non_negative_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(
+                "need an integer <= %d, got %r" % (limit, text))
+        return value
+    return parse
+
+
 # chords enumerate lists about kmax^2 chords (140 MB at kmax 400): a larger
 # box would not fit in memory.  hw torus shares the flag and the bound.
 KMAX_LIMIT = 1000
+_kmax = _count_at_most(KMAX_LIMIT)
 
-
-def _kmax(text):
-    """argparse type for --kmax: an integer in [0, KMAX_LIMIT]."""
-    value = _non_negative_int(text)
-    if value > KMAX_LIMIT:
-        raise argparse.ArgumentTypeError(
-            "need an integer <= %d, got %r" % (KMAX_LIMIT, text))
-    return value
+# hyperbolic triangles reports up to 2K + 1 patterns, and a tiny --l1 makes
+# nearly every translate a hit: at K = 10^4 that report is 6.6 MB and takes
+# 0.7 s, so the bound keeps the worst case small.
+TRIANGLE_K_LIMIT = 10_000
 
 
 def _positive_float(text):
-    """argparse type for tolerances: a finite float > 0."""
+    """argparse type for tolerances and lengths: a finite float > 0."""
     try:
         value = float(text)
     except ValueError:
@@ -547,8 +556,8 @@ COMMANDS = {
         ("--g0", {"default": "-1 1"}),
         ("--g1", {"default": "0 inf"}),
         ("--g2", {"default": "0.5 3"}),
-        ("--l1", {"type": float, "default": 2.0}),
-        ("--K", {"type": int, "default": 10}),
+        ("--l1", {"type": _positive_float, "default": 2.0}),
+        ("--K", {"type": _count_at_most(TRIANGLE_K_LIMIT), "default": 10}),
     ), {
         "triangles": (_hyperbolic_triangles, ("g0", "g1", "g2", "l1", "K"),
                       "hyperbolic triangles"),

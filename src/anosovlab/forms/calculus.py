@@ -8,11 +8,11 @@ small dense linear systems at a point.
 
 from __future__ import annotations
 
-from functools import cache
+import math
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class OutOfDomain(ValueError):
@@ -25,6 +25,61 @@ class SingularSystem(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+def _primes(d):
+    """The first d primes."""
+    out = []
+    n = 2
+    while len(out) < d:
+        if all(n % p for p in out):
+            out.append(n)
+        n += 1
+    return out
+
+
+@lru_cache(maxsize=64)
+def _halton_digit_terms(d, seed):
+    """Per axis: (base, terms), where terms[j, v] is perm_j[v] / base^(j+1).
+
+    Owen's (2017) random digit permutations perm_j: for the i-th prime
+    `base`, ceil(54 / log2 base) - 1 copies of range(base), each shuffled in
+    turn by one generator shared across the axes (the draws of
+    scipy.stats.qmc.Halton(d, scramble=True, seed=seed)).  The weight of row
+    j + 1 is the weight of row j divided by base, starting from 1/base."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for base in _primes(d):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        weights = [1.0 / base]
+        for _ in range(count - 1):
+            weights.append(weights[-1] / base)
+        terms = perms * np.array(weights)[:, None]
+        terms.flags.writeable = False
+        tables.append((base, terms))
+    return tuple(tables)
+
+
+def scrambled_halton(n, d, seed):
+    """First n points of the scrambled Halton sequence in [0, 1)^d.
+
+    Coordinate i of point k adds up the digit terms of every row j of the
+    i-th prime, from 0.0 and in row order, so the points are bit-identical
+    to scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)."""
+    k = np.arange(n)
+    out = np.empty((n, d))
+    for i, (base, table) in enumerate(_halton_digit_terms(d, seed)):
+        v = np.zeros(n)
+        place = 1  # base^j
+        for row in table:
+            # past place >= n every digit of k < n is 0
+            v += row[k // place % base] if place < n else row[0]
+            place *= base
+        out[:, i] = v
+    return out
 
 
 class Chart:
@@ -50,8 +105,7 @@ class Chart:
 
         Periodic axes are not shrunk (coefficients are globally defined
         formulas, so differencing across the nominal period is safe)."""
-        eng = qmc.Halton(d=self.dim, scramble=True, seed=seed)
-        u = eng.random(n)
+        u = scrambled_halton(n, self.dim, seed)
         pts = np.empty_like(u)
         for i, (lo, hi) in enumerate(self.box):
             m = 0.0 if self.periodic[i] else margin

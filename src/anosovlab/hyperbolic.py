@@ -408,7 +408,16 @@ def triangle_enumerate(g0, g1, g2, ell1, K, collision_tol=1e-9):
     requires all three pairwise intersections to exist, the vertices to be
     distinct, and (v01, v12, v02) to be positively (counterclockwise)
     cyclically ordered, matching the cyclic order of the two inputs and the
-    output around the triangle."""
+    output around the triangle.
+
+    The translates are built in the frame A = _map_to_axis(g1), where T is
+    z -> e^ell1 z: A(T^k g2) has endpoints e^(k ell1) a', e^(k ell1) b' for
+    (a', b') = A(g2), one exponential per k and no matrix powers.  Such a
+    translate crosses the axis for every k (a' b' < 0) or for none, and it
+    crosses A(g0), with endpoints c- < 0 < c+, exactly when e^(k ell1) lies
+    strictly between c-/a- and c+/a+ (a-, a+ the negative and positive one
+    of a', b').  Only that window of k, widened by one step on each side
+    against rounding, is tested; the per-k tests run in the input frame."""
     if not 0 < ell1 < math.inf:  # also rejects NaN
         raise ValueError("finite ell1 > 0 required")
     if K < 0:
@@ -417,14 +426,34 @@ def triangle_enumerate(g0, g1, g2, ell1, K, collision_tol=1e-9):
     if base is None:
         return []
     v01 = base[0]
-    T = hyperbolic_translation(g1, ell1)
+    A = _map_to_axis(g1)
+    ap, bp = A.apply_boundary(g2.a), A.apply_boundary(g2.b)
+    a_lo, a_hi = sorted((ap, bp))
+    c_lo, c_hi = sorted((A.apply_boundary(g0.a), A.apply_boundary(g0.b)))
+    if not (-INF < a_lo < 0 < a_hi < INF and -INF < c_lo < 0 < c_hi < INF):
+        return []  # no translate crosses g1 (or g0 does not)
+    # k ell1 lies strictly between the two log-ratios; clamping them to
+    # +-(K + 2) before rounding leaves the clipped window unchanged
+    bound = K + 2.0
+    lo, hi = sorted(
+        min(max(t / ell1, -bound), bound)
+        for t in (math.log(-c_lo) - math.log(-a_lo),
+                  math.log(c_hi) - math.log(a_hi)))
+    Ainv = A.inverse()
     out = []
-    for k in range(-K, K + 1):
-        M = Mobius.identity()
-        step = T if k >= 0 else T.inverse()
-        for _ in range(abs(k)):
-            M = step @ M
-        h = M.apply_geodesic(g2)
+    for k in range(max(-K, math.floor(lo) - 1), min(K, math.ceil(hi) + 1) + 1):
+        if k == 0:
+            h = g2  # exactly, not through the round trip A^-1 A
+        else:
+            try:
+                lam = math.exp(k * ell1)
+            except OverflowError:
+                break  # this and every later translate is beyond float range
+            x = Ainv.apply_boundary(lam * ap)
+            y = Ainv.apply_boundary(lam * bp)
+            if x == y:
+                continue  # narrower than float resolution: meets nothing
+            h = Geodesic(x, y)
         try:
             i12 = intersect(g1, h)
             i02 = intersect(g0, h)

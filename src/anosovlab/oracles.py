@@ -4,7 +4,8 @@ Each oracle recomputes a quantity through a different route than the
 primary code path: cellular chain complexes instead of the Wang/Gysin
 formulas, high-precision or plain floating sign tests instead of exact
 quadratic arithmetic, a point-by-point box scan instead of row intervals,
-dense sampling instead of circle algebra, direct region integrals
+dense sampling instead of circle algebra, Mobius products instead of
+axis-frame dilations for triangle translates, direct region integrals
 instead of boundary integrals, LAPACK determinants instead of Leibniz
 sums for the minors of a pullback, QuadNum eigen-coefficients instead of
 integer ones for chord slopes, and the geometric mpmath construction of
@@ -323,6 +324,72 @@ def triangle_count_sampled(g0, g1, g2, ell1, K):
         if cross > 0:
             count += 1
     return count
+
+
+def triangle_enumerate_products(g0, g1, g2, ell1, K, collision_tol=1e-9):
+    """Oracle: hyperbolic.triangle_enumerate by Mobius products.
+
+    Builds T^|k| g2 for every |k| <= K from scratch, one product per step,
+    and runs the per-k tests on each translate.  The products lose all
+    precision once K ell1 is near 37 (the determinant of T^k cancels), so
+    this reference raises ValueError on valid inputs there."""
+    from .hyperbolic import (
+        DegenerateConfiguration,
+        IdenticalGeodesics,
+        Mobius,
+        TrianglePattern,
+        _interior_angle,
+        hyperbolic_translation,
+        intersect,
+    )
+
+    if not 0 < ell1 < math.inf:  # also rejects NaN
+        raise ValueError("finite ell1 > 0 required")
+    if K < 0:
+        raise ValueError("K >= 0 required")
+    base = intersect(g0, g1)
+    if base is None:
+        return []
+    v01 = base[0]
+    T = hyperbolic_translation(g1, ell1)
+    out = []
+    for k in range(-K, K + 1):
+        M = Mobius.identity()
+        step = T if k >= 0 else T.inverse()
+        for _ in range(abs(k)):
+            M = step @ M
+        h = M.apply_geodesic(g2)
+        try:
+            i12 = intersect(g1, h)
+            i02 = intersect(g0, h)
+        except IdenticalGeodesics:
+            continue
+        if i12 is None or i02 is None:
+            continue
+        v12, v02 = i12[0], i02[0]
+        if (
+            abs(v12 - v01) < collision_tol
+            or abs(v02 - v01) < collision_tol
+            or abs(v12 - v02) < collision_tol
+        ):
+            raise DegenerateConfiguration(
+                "triple intersection in translate k=%d" % k
+            )
+        cross = (v12 - v01).real * (v02 - v01).imag - (v12 - v01).imag * (
+            v02 - v01
+        ).real
+        if cross <= 0:
+            continue
+        angles = (
+            _interior_angle(v01, v12, v02),
+            _interior_angle(v12, v01, v02),
+            _interior_angle(v02, v01, v12),
+        )
+        out.append(
+            TrianglePattern(k=k, vertices=(v01, v12, v02), angles=angles,
+                            translate=h)
+        )
+    return out
 
 
 # ------------------------------------------------------ region areas

@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 
+import anosovlab.hyperbolic
 from anosovlab import acceptance
-from anosovlab.cli import COMMANDS, KMAX_LIMIT, emit, main
+from anosovlab.cli import COMMANDS, KMAX_LIMIT, TRIANGLE_K_LIMIT, emit, main
 
 
 def _run(argv):
@@ -36,9 +37,28 @@ def test_byte_determinism():
     assert out1 == out2
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on input the parser should have rejected")
+
+
 def test_exit_codes(tmp_path, monkeypatch, capsys):
     code, _ = _run(["toral", "orbits", "--matrix", "2 1 1 1", "--N", "2"])
     assert code == 0
+    # test_triangle_mobius_invariance's configuration conjugated by
+    # [[2, 0.5], [0.3, 1]] once exited 2 ("matrix must have positive
+    # determinant", from Mobius products of T^k at K = 40)
+    code, out = _run(["hyperbolic", "triangles",
+                      "--g0", "-2.1428571428571432 1.923076923076923",
+                      "--g1", "0.5 6.666666666666668",
+                      "--g2", "-0.5882352941176471 3.4210526315789482",
+                      "--l1", "1.2", "--K", "40"])
+    assert code == 0
+    assert [r["k"] for r in json.loads(out.decode())["results"]] == [0]
+    code, out = _run(["hyperbolic", "triangles", "--K", str(TRIANGLE_K_LIMIT)])
+    assert code == 0
+    assert json.loads(out.decode())["params"]["K"] == TRIANGLE_K_LIMIT
+    # from here on a bad --K or --l1 must exit 2 before any enumeration
+    monkeypatch.setattr(anosovlab.hyperbolic, "triangle_enumerate", _refuse)
     code, _ = _run(["toral", "orbits", "--matrix", "1 0 0 1", "--N", "2"])
     assert code == 2  # not hyperbolic: usage-level error
     assert main(["nonsense"]) == 2
@@ -70,6 +90,12 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     # a curve width must be a finite float > 0: inf printed Infinity, not JSON
     for delta in ("inf", "nan", "0", "-1"):
         bad.append(["torus-curve", "build", "--delta", delta])
+    # --K 10^8 once ran for over 20 s of Mobius products; --l1 nan or 0
+    # failed only inside the enumeration
+    for K in ("1000000000000", "-1", str(TRIANGLE_K_LIMIT + 1)):
+        bad.append(["hyperbolic", "triangles", "--K", K])
+    for l1 in ("nan", "0", "-1"):
+        bad.append(["hyperbolic", "triangles", "--l1", l1])
     for keys in ({"results": {"h": 0.5, "delta": 0.4}}, {"seg_length": 1.0},
                  [1, 2]):
         curve = tmp_path / ("curve%d.json" % len(bad))
@@ -83,7 +109,11 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
             ({"sign": "x"}, ["toral", "eigen", "--matrix", "2 1 1 1"]),
             ({"tol": "inf"}, ["forms", "check", "--samples", "5"]),
             ({"delta": "inf"}, ["torus-curve", "build"]),
-            ({"quiet": "yes"}, ["suite", "acceptance"]))):
+            ({"quiet": "yes"}, ["suite", "acceptance"]),
+            ({"K": 10**12}, ["hyperbolic", "triangles"]),
+            ({"K": -1}, ["hyperbolic", "triangles"]),
+            ({"l1": "nan"}, ["hyperbolic", "triangles"]),
+            ({"l1": 0}, ["hyperbolic", "triangles"]))):
         config = tmp_path / ("values%d.json" % i)
         config.write_text(json.dumps(values))
         bad.append(["--config", str(config)] + argv)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovlab.exact import (
     IntMatrix,
@@ -61,6 +63,30 @@ def test_snf_examples():
     # A - I for the cat map
     assert smith_normal_form(IntMatrix([[1, 1], [1, 0]])).diagonal == (1, 1)
     assert smith_normal_form(IntMatrix([[0, 0], [0, 0]])).diagonal == (0, 0)
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices up to 4x5 with entries in [-50, 50]."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    return IntMatrix(draw(st.lists(
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+        min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(M=_int_matrices())
+def test_snf_properties(M):
+    s = smith_normal_form(M)
+    assert s.U * M * s.V == s.S
+    assert abs(s.U.det()) == 1 and abs(s.V.det()) == 1
+    assert all(x == 0 for i, row in enumerate(s.S.rows)
+               for j, x in enumerate(row) if i != j)
+    d = s.diagonal
+    assert all(x >= 0 for x in d)
+    for x, y in zip(d, d[1:]):
+        # d_i | d_{i+1}, with 0 | 0 only: zeros close the chain
+        assert (y == 0) if x == 0 else (y % x == 0)
 
 
 def test_snf_roundtrip_random():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anosovlab
 from anosovlab import oracles
 from anosovlab.forms import (
     DimensionMismatch,
@@ -22,7 +26,12 @@ from anosovlab.forms import (
     symplectic_frame,
     wedge,
 )
-from anosovlab.forms.calculus import Chart, DifferentialForm, OutOfDomain
+from anosovlab.forms.calculus import (
+    Chart,
+    DifferentialForm,
+    OutOfDomain,
+    scrambled_halton,
+)
 from anosovlab.forms.library import (
     ALPHA_CAN_FERMI,
     ALPHA_PLUS,
@@ -330,3 +339,26 @@ def _wedge_cases(draw):
 @given(case=_wedge_cases())
 def test_wedge_matches_fresh_signs(case):
     assert wedge(*case) == _wedge_reference(*case)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_scrambled_halton_matches_qmc_bytes(d):
+    from scipy.stats import qmc
+
+    for seed in (0, 1, 2, 7, 8, 9, 12345):
+        for n in (0, 1, 2, 5, 60, 161, 1000):
+            want = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            got = scrambled_halton(n, d, seed)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_geometry_imports_leave_scipy_unloaded():
+    # scipy.stats alone cost about 0.5 s and 70 MB of import
+    code = ("import sys, anosovlab.surface, anosovlab.hyperbolic, "
+            "anosovlab.forms; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(anosovlab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

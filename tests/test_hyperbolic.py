@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from anosovlab.hyperbolic import (
@@ -25,7 +27,7 @@ from anosovlab.hyperbolic import (
     orthogeodesic_length_brute,
     triangle_enumerate,
 )
-from anosovlab.oracles import triangle_count_sampled
+from anosovlab.oracles import triangle_count_sampled, triangle_enumerate_products
 
 AXIS = Geodesic(0.0, INF)
 
@@ -168,15 +170,78 @@ def test_triangle_counts_vs_oracle_seeded():
 
 
 def test_triangle_mobius_invariance():
+    # at K = 40 Mobius products of T^k lost the sign of the determinant
     g0, g1, g2 = Geodesic(-1.0, 1.0), AXIS, Geodesic(-0.5, 3.0)
-    pats = triangle_enumerate(g0, g1, g2, 1.2, 5)
     M = Mobius([[2.0, 0.5], [0.3, 1.0]])
-    pats2 = triangle_enumerate(
-        M.apply_geodesic(g0), M.apply_geodesic(g1), M.apply_geodesic(g2),
-        1.2, 5
-    )
-    assert len(pats) == len(pats2)
-    assert [p.k for p in pats] == [p.k for p in pats2]
+    for K in (5, 40):
+        pats = triangle_enumerate(g0, g1, g2, 1.2, K)
+        pats2 = triangle_enumerate(
+            M.apply_geodesic(g0), M.apply_geodesic(g1), M.apply_geodesic(g2),
+            1.2, K
+        )
+        assert len(pats) == len(pats2) == 1
+        assert [p.k for p in pats] == [p.k for p in pats2]
+
+
+@pytest.mark.parametrize("g1", [AXIS, Geodesic(-0.2, 5.0)])
+@pytest.mark.parametrize("ell", [50.0, 1e308])
+def test_triangle_huge_translation_length(g1, ell):
+    # T^-1 g2 collapses onto an endpoint of g1 and e^ell overflows: the
+    # Mobius products raised (OverflowError, or a lost determinant sign)
+    pats = triangle_enumerate(Geodesic(-1.0, 1.0), g1, Geodesic(-0.5, 3.0),
+                              ell, 3)
+    assert [p.k for p in pats] == [0]
+
+
+def _crossing(lo, hi):
+    """A geodesic from -x to y (x, y in [lo, hi]) crossing the axis."""
+    return st.builds(lambda x, y: Geodesic(-x, y), st.floats(lo, hi),
+                     st.floats(lo, hi))
+
+
+# entries on a 1/1000 grid in [-2, 2] with det > 1/4: well-conditioned maps
+_POSITIVE_DET = st.lists(st.integers(-2000, 2000).map(lambda i: i / 1000),
+                         min_size=4, max_size=4).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2] > 0.25)
+
+
+def _conjugated(g0, g1, g2, m):
+    M = Mobius([m[:2], m[2:]])
+    return [M.apply_geodesic(g) for g in (g0, g1, g2)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g0=_crossing(0.5, 2.0), g2=_crossing(0.1, 3.0),
+       flip=st.tuples(st.booleans(), st.booleans()),
+       ell=st.floats(0.3, 2.5), K=st.integers(0, 20),
+       m=st.none() | _POSITIVE_DET)
+def test_triangle_enumerate_matches_products(g0, g2, flip, ell, K, m):
+    g1 = AXIS.reversed() if flip[0] else AXIS
+    g2 = g2.reversed() if flip[1] else g2
+    if m is not None:  # non-vertical g1, same orientation as before
+        g0, g1, g2 = _conjugated(g0, g1, g2, m)
+    try:
+        want = triangle_enumerate_products(g0, g1, g2, ell, K)
+    except ValueError:
+        return  # lost precision or degenerate: the products are no reference
+    got = triangle_enumerate(g0, g1, g2, ell, K)
+    assert [p.k for p in got] == [p.k for p in want]
+    for p, q in zip(got, want):
+        for a, b in zip(p.vertices + p.angles, q.vertices + q.angles):
+            assert abs(a - b) <= 1e-9 * abs(b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g0=_crossing(0.5, 2.0), g2=_crossing(0.1, 3.0), ell=st.floats(0.3, 2.5),
+       K=st.integers(0, 60), m=_POSITIVE_DET)
+def test_triangle_conjugation_invariance_long_windows(g0, g2, ell, K, m):
+    # K ell up to 150, far past where Mobius products of T^k break down
+    try:
+        want = [p.k for p in triangle_enumerate(g0, AXIS, g2, ell, K)]
+    except DegenerateConfiguration:
+        return
+    got = triangle_enumerate(*_conjugated(g0, AXIS, g2, m), ell, K)
+    assert [p.k for p in got] == want
 
 
 def test_triangle_degenerate_rejected():
