@@ -411,7 +411,7 @@ def _torus_curve_build(args):
 
     from .shapes import build_exact_beta, verify_exactness
 
-    curve = build_exact_beta(args.delta, args.height_frac, tol=args.tol)
+    curve = build_exact_beta(args.delta, args.height_frac)
     ver = verify_exactness(curve)
     ss = np.linspace(0.0, curve.period, args.samples, endpoint=False)
     payload = {

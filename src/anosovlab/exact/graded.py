@@ -61,9 +61,6 @@ class GradedZModule:
     def total_free_rank(self):
         return sum(f for f, _ in self.entries.values())
 
-    def total_torsion_count(self):
-        return sum(len(t) for _, t in self.entries.values())
-
     def euler_characteristic(self):
         return sum((-1) ** d * f for d, (f, _) in self.entries.items())
 

@@ -76,16 +76,6 @@ class HochschildTable:
     def total_degree_support(self):
         return sorted({j - i for (i, j) in self.entries})
 
-    def by_total_degree(self):
-        out = GradedZModule()
-        for (i, j), (f, t) in self.entries.items():
-            out.set(
-                j - i,
-                out.free_rank(j - i) + f,
-                out.torsion(j - i) + t,
-            )
-        return out
-
     def total_rank(self):
         """Free rank plus torsion generator count, all degrees."""
         return sum(f + len(t) for f, t in self.entries.values())

@@ -78,12 +78,6 @@ class Geodesic:
             return z.real - self.foot
         return abs(z - self.center) ** 2 - self.radius**2
 
-    def point_at_height(self, y):
-        """Point on a vertical geodesic at height y (vertical only)."""
-        if not self.is_vertical:
-            raise ValueError("not vertical")
-        return complex(self.foot, y)
-
     def contains(self, z, tol=1e-9):
         return abs(self.side(z)) <= tol * max(1.0, abs(z) ** 2)
 

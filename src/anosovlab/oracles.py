@@ -5,11 +5,12 @@ primary code path: cellular chain complexes instead of the Wang/Gysin
 formulas, high-precision or plain floating sign tests instead of exact
 quadratic arithmetic, a point-by-point box scan instead of row intervals,
 dense sampling instead of circle algebra, Mobius products instead of
-axis-frame dilations for triangle translates, direct region integrals
-instead of boundary integrals, LAPACK determinants instead of Leibniz
-sums for the minors of a pullback, QuadNum eigen-coefficients instead of
-integer ones for chord slopes, and the geometric mpmath construction of
-the genus-2 octagon group instead of its exact Z[sqrt 2] data.
+axis-frame dilations for triangle translates, direct region integrals by
+mpmath tanh-sinh instead of boundary integrals by Gauss-Legendre, LAPACK
+determinants instead of Leibniz sums for the minors of a pullback,
+QuadNum eigen-coefficients instead of integer ones for chord slopes, and
+the geometric mpmath construction of the genus-2 octagon group instead of
+its exact Z[sqrt 2] data.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .exact.intmat import chain_homology
 from .chords import cone_spec
 from .toral import torus_apply
 
-# numpy, scipy.integrate and .hyperbolic are imported inside the few oracles
-# that use them: callers of the exact oracles do not pay for loading them.
+# numpy and .hyperbolic are imported inside the few oracles that use them:
+# callers of the exact oracles do not pay for loading them.
 
 
 # ------------------------------------------------ cellular (co)homology
@@ -394,36 +395,30 @@ def triangle_enumerate_products(g0, g1, g2, ell1, K, collision_tol=1e-9):
 
 # ------------------------------------------------------ region areas
 
+# The slab widths are clamped at 0: mpmath.sqrt of a tiny negative is an mpc.
+
 def disk_weighted_area(rho, x0=0.0, y0=0.0):
     """Direct 2-D integral of 1/(1-y^2) over a disk (x-slab integrated
-    exactly, then 1-D quadrature in y)."""
+    exactly, then tanh-sinh quadrature in y, split at the centre)."""
     if abs(y0) + rho >= 1.0:
         raise ValueError("disk must stay inside the strip |y| < 1")
-    from scipy.integrate import quad
 
     def slab(y):
-        half = math.sqrt(max(rho * rho - (y - y0) ** 2, 0.0))
-        return 2.0 * half / (1.0 - y * y)
+        half = mpmath.sqrt(max(rho * rho - (y - y0) ** 2, 0))
+        return 2 * half / (1 - y * y)
 
-    val, _ = quad(slab, y0 - rho, y0 + rho, epsabs=1e-12, epsrel=1e-12,
-                  limit=200)
-    return val
+    return float(mpmath.quad(slab, [y0 - rho, y0, y0 + rho]))
 
 
 def stadium_weighted_area_direct(seg_length, h):
-    """Direct 2-D integral over the stadium region by horizontal slabs."""
-    from scipy.integrate import quad
-
+    """Direct 2-D integral over the stadium region by horizontal slabs
+    (tanh-sinh quadrature in y, split at the centre)."""
     L = seg_length
 
-    def width(y):
-        if abs(y) > h:
-            return 0.0
-        return L + 2.0 * math.sqrt(max(h * h - y * y, 0.0))
+    def slab(y):
+        return (L + 2 * mpmath.sqrt(max(h * h - y * y, 0))) / (1 - y * y)
 
-    val, _ = quad(lambda y: width(y) / (1.0 - y * y), -h, h, epsabs=1e-12,
-                  epsrel=1e-12, limit=200)
-    return val
+    return float(mpmath.quad(slab, [-h, 0, h]))
 
 
 # ------------------------------------------------- forms by determinants

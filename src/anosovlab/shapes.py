@@ -3,19 +3,23 @@
 A closed curve beta = (f, g) in the strip |y| < eps = tanh(delta) winding
 once around the origin bounds an exact torus precisely when its weighted
 area int dx dy / (1 - y^2) equals 2 pi; the weighted area is evaluated as
-the boundary integral of x/(1-y^2) dy.  The curve family is a stadium (two
-horizontal segments with semicircular caps) parametrized by arclength, so
-one scalar root-find in the segment length does the construction.
+the boundary integral of x/(1-y^2) dy by adaptive Gauss-Legendre
+quadrature on each smooth piece.  The curve family is a stadium (two
+horizontal segments with semicircular caps) parametrized by arclength; its
+weighted area is linear in the segment length, so the exact-area length is
+a closed form.  Flow lines of the plane field are closed forms too.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+
+_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(20))
 
 
 class OriginOnCurve(ValueError):
@@ -166,12 +170,7 @@ def rounded_rectangle(width, h, corner_radius):
 
     def point_and_velocity(s):
         s = s % P
-        k = 0
-        while k < 8 and s >= starts[k + 1] - 1e-15 and s >= starts[k + 1] - lengths[k] * 0:
-            if s < starts[k + 1]:
-                break
-            k += 1
-        k = min(k, 7)
+        k = _piece(starts, s)
         u = s - starts[k]
         if k == 0:
             return (-cx + u, -h), (1.0, 0.0)
@@ -213,6 +212,12 @@ def rounded_rectangle(width, h, corner_radius):
                       breakpoints=tuple(starts),
                       meta={"family": "rounded-rectangle", "width": W,
                             "h": h, "corner_radius": rho})
+
+
+def _piece(starts, s):
+    """Index of the piece [starts[k], starts[k + 1]) holding s, 0 <= s < P;
+    s on a breakpoint belongs to the last piece starting there."""
+    return min(bisect.bisect_right(starts, s) - 1, len(starts) - 2)
 
 
 def winding_number(curve):
@@ -279,6 +284,38 @@ def _segments_cross(p1, p2, q1, q2):
     )
 
 
+def _gauss(fn, a, b):
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    return r * sum(w * fn(c + r * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+
+
+def _integrate(fn, curve, tol):
+    """int fn over one period, by globally adaptive 20-point Gauss-Legendre
+    on each smooth piece.
+
+    Each interval carries the rule on its two halves; the one whose halves
+    disagree most with the whole is split, until the disagreements sum to
+    at most tol or 200 intervals are in use (then the estimate stands and
+    the caller's residual checks decide)."""
+
+    def entry(lo, hi, whole):
+        mid = 0.5 * (lo + hi)
+        left, right = _gauss(fn, lo, mid), _gauss(fn, mid, hi)
+        return (-abs(left + right - whole), lo, hi, left, right)
+
+    breaks = curve.breakpoints or (0.0, curve.period)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        heap = [entry(a, b, _gauss(fn, a, b))]
+        while -sum(e[0] for e in heap) > tol and len(heap) < 200:
+            _, lo, hi, left, right = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            heapq.heappush(heap, entry(lo, mid, left))
+            heapq.heappush(heap, entry(mid, hi, right))
+        total += sum(e[3] + e[4] for e in heap)
+    return total
+
+
 def weighted_area(curve, tol=1e-10):
     """Boundary evaluation of int_D dx dy / (1 - y^2) via x/(1-y^2) dy."""
     if not curve.closed:
@@ -291,43 +328,28 @@ def weighted_area(curve, tol=1e-10):
         y = curve.g(s)
         return curve.f(s) * curve.gp(s) / (1.0 - y * y)
 
-    total = 0.0
-    breaks = curve.breakpoints or (0.0, curve.period)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        val, _ = quad(integrand, a, b, epsabs=tol, epsrel=1e-12, limit=200)
-        total += val
-    return total
+    return _integrate(integrand, curve, tol)
 
 
-def build_exact_beta(delta, height_frac=0.9, tol=1e-10, max_len=1e6):
+def build_exact_beta(delta, height_frac=0.9):
     """Stadium curve with weighted area exactly 2 pi, in the delta-strip.
 
-    Solves for the segment length by bracketed root finding; the thin-strip
-    model area(L) ~ 2 L artanh(h) centers the initial bracket."""
+    The stadium of segment length L and cap radius h is a rectangle plus a
+    disk, so area(L) = 2 L artanh(h) + 2 pi (1 - sqrt(1 - h^2)) and the
+    length is L = pi sqrt(1 - h^2) / artanh(h); the quadrature area must
+    then agree with 2 pi to 1e-8."""
     strip = StripSpec(delta)
     if not 0 < height_frac < 1:
         raise ValueError("height_frac in (0, 1) required")
     eps = strip.eps
     h = height_frac * eps
-
-    def area_of(L):
-        return weighted_area(stadium_curve(L, h))
-
     target = 2 * math.pi
-    guess = max((target - math.pi * h * h) / (2 * math.atanh(h)), 0.0)
-    lo = 0.0
-    hi = max(2 * guess, 1.0)
-    while area_of(hi) < target:
-        hi *= 2.0
-        if hi > max_len:
-            raise NoBracket("cannot reach weighted area 2 pi with h = %g" % h)
-    L = brentq(lambda L_: area_of(L_) - target, lo, hi, xtol=1e-13,
-               rtol=8.9e-16)
-    curve = stadium_curve(L, h)
+    curve = stadium_curve(math.pi * math.sqrt(1 - h * h) / math.atanh(h), h)
     curve.meta.update({"delta": delta, "eps": eps, "height_frac": height_frac})
     area = weighted_area(curve)
     if abs(area - target) > 1e-8:
-        raise NoBracket("root finding failed: area residual %g" % (area - target))
+        raise NoBracket("closed-form length misses area 2 pi by %g"
+                        % (area - target))
     assert winding_number(curve) == 1
     assert_in_strip(curve, eps)
     assert_simple(curve)
@@ -360,11 +382,7 @@ def verify_exactness(curve, delta=None, n=1000):
             fv * fv + gv * gv
         )
 
-    period = 0.0
-    breaks = curve.breakpoints or (0.0, curve.period)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        val, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
-        period += val
+    period = _integrate(integrand, curve, 1e-12)
     area = weighted_area(curve)
     wind = winding_number(curve)
     return {
@@ -407,22 +425,24 @@ def plane_field(x, y):
     return (x * (1 - x * x - 2 * y * y), y * (1 - y * y))
 
 
-def integrate_plane_field(start, t_span, rtol=1e-12, atol=1e-14):
-    """Trajectory of the plane field (an end-tangent curve)."""
+def integrate_plane_field(start, t_span):
+    """Trajectory of the plane field (an end-tangent curve), in closed form.
 
-    def rhs(_, p):
-        return plane_field(p[0], p[1])
-
-    sol = solve_ivp(rhs, t_span, start, rtol=rtol, atol=atol,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(sol.message)
+    With t = s - t_span[0], e = expm1(2t) and D = 1 + y0^2 e, the equation
+    y' = y (1 - y^2) gives y = y0 e^t / sqrt(D), and u = x^-2 solves the
+    linear u' = -2u + 2 + 4y^2, which gives x = x0 e^t / sqrt(D (D + x0^2 e))."""
+    x0, y0 = float(start[0]), float(start[1])
+    s0 = float(t_span[0])
 
     def f(s):
-        return float(sol.sol(s)[0])
+        t = s - s0
+        e = math.expm1(2 * t)
+        D = 1 + y0 * y0 * e
+        return x0 * math.exp(t) / math.sqrt(D * (D + x0 * x0 * e))
 
     def g(s):
-        return float(sol.sol(s)[1])
+        t = s - s0
+        return y0 * math.exp(t) / math.sqrt(1 + y0 * y0 * math.expm1(2 * t))
 
     def fp(s):
         return plane_field(f(s), g(s))[0]

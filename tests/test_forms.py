@@ -353,9 +353,14 @@ def test_scrambled_halton_matches_qmc_bytes(d):
 
 
 def test_geometry_imports_leave_scipy_unloaded():
-    # scipy.stats alone cost about 0.5 s and 70 MB of import
+    # scipy.stats alone cost about 0.5 s and 70 MB of import, scipy.integrate
+    # and scipy.optimize about 0.7 s and 42 MB; running the beta-curve
+    # criterion and a flow line must not load them lazily either
     code = ("import sys, anosovlab.surface, anosovlab.hyperbolic, "
-            "anosovlab.forms; "
+            "anosovlab.forms, anosovlab.shapes, anosovlab.acceptance, "
+            "anosovlab.oracles; "
+            "assert anosovlab.acceptance.criterion_10_beta_curve()['pass']; "
+            "anosovlab.shapes.integrate_plane_field((0.05, 0.02), (0.0, 4.0)).f(2.0); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(anosovlab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from anosovlab.exact import GradedZModule
 from anosovlab.homology import (
@@ -17,6 +18,7 @@ from anosovlab.oracles import (
     mapping_torus_cellular_cohomology,
 )
 from anosovlab.toral import NotHyperbolic, parse_matrix
+from strategies import hyperbolic_matrices
 
 BATTERY = [parse_matrix(s) for s in
            ("2 1 1 1", "1 1 1 2", "3 1 2 1", "3 2 1 1", "5 2 2 1")]
@@ -47,6 +49,12 @@ def test_mapping_torus_torsion_order_battery():
 def test_mapping_torus_vs_cellular_oracle():
     for A in BATTERY:
         assert mapping_torus_cohomology(A) == mapping_torus_cellular_cohomology(A)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(A=hyperbolic_matrices())
+def test_mapping_torus_matches_cellular_oracle_property(A):
+    assert mapping_torus_cohomology(A) == mapping_torus_cellular_cohomology(A)
 
 
 def test_mapping_torus_not_hyperbolic():

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anosovlab import shapes
 from anosovlab.oracles import disk_weighted_area, stadium_weighted_area_direct
 from anosovlab.shapes import (
     NoBracket,
@@ -176,3 +179,116 @@ def test_u_shape():
     assert u.point(0.0)[1] == -0.2
     with pytest.raises(ValueError):
         u_shaped_curve(-1.0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(0.05, 2.0), height_frac=st.floats(0.5, 0.99))
+def test_closed_form_length_matches_root_find(delta, height_frac):
+    # reference: root-find the quadrature area, the construction's old route;
+    # area(L) >= 2 L artanh(h), so pi / artanh(h) brackets the root
+    from scipy.optimize import brentq
+
+    h = height_frac * math.tanh(delta)
+    ref = brentq(lambda L: weighted_area(stadium_curve(L, h)) - 2 * math.pi,
+                 0.0, math.pi / math.atanh(h), xtol=1e-13, rtol=8.9e-16)
+    L = math.pi * math.sqrt(1 - h * h) / math.atanh(h)
+    assert abs(L - ref) <= 1e-12 * ref
+
+
+def test_adaptive_rule_resolves_cap_near_pole():
+    # the cap integrand has a pole about acosh(1/h) off the real axis; a
+    # fixed 64-node rule per piece misses the area by about 1e-6 here
+    curve = build_exact_beta(20.0, 0.9999)
+    assert abs(weighted_area(curve) - 2 * math.pi) < 1e-8
+
+
+def test_adaptive_rule_resolves_flat_peak():
+    # on the long flat pieces the period integrand is h / (x^2 + h^2), a
+    # peak of width h that fixed panels do not settle on
+    assert verify_exactness(build_exact_beta(0.05, 0.5))["consistency"] < 1e-10
+
+
+@pytest.mark.parametrize("start, t_span", [
+    ((0.05, 0.02), (0.0, 4.0)),
+    ((0.0, 0.3), (0.0, 3.0)),
+    ((0.4, 0.0), (-1.0, 2.0)),
+    ((0.0, 0.0), (0.0, 1.0)),
+    ((-0.3, -0.5), (0.5, 3.5)),
+    ((0.9, 0.7), (-2.0, 1.0)),
+    ((1.5, -0.2), (0.0, 2.0)),
+    ((0.2, 0.95), (1.0, 5.0)),
+])
+def test_plane_field_flow_matches_solver(start, t_span):
+    import numpy as np
+    from scipy.integrate import solve_ivp
+
+    flow = integrate_plane_field(start, t_span)
+    sol = solve_ivp(lambda _, p: shapes.plane_field(p[0], p[1]), t_span,
+                    start, rtol=1e-12, atol=1e-14, dense_output=True)
+    for s in np.linspace(t_span[0], t_span[1], 24):
+        want = sol.sol(s)
+        assert abs(flow.f(s) - want[0]) < 1e-10
+        assert abs(flow.g(s) - want[1]) < 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(L=st.floats(0.0, 50.0), h=st.floats(0.01, 0.99))
+def test_stadium_oracle_matches_closed_form(L, h):
+    # a rectangle of width L plus a centred disk of radius h
+    want = 2 * L * math.atanh(h) + 2 * math.pi * (1 - math.sqrt(1 - h * h))
+    assert abs(stadium_weighted_area_direct(L, h) - want) < 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rho=st.floats(0.01, 0.99))
+def test_centred_disk_oracle_matches_closed_form(rho):
+    want = 2 * math.pi * (1 - math.sqrt(1 - rho * rho))
+    assert abs(disk_weighted_area(rho) - want) < 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rho=st.floats(0.01, 0.6), x0=st.floats(-2.0, 2.0),
+       frac=st.floats(-0.95, 0.95))
+def test_offcentre_disk_oracle_matches_scipy(rho, x0, frac):
+    from scipy.integrate import quad
+
+    y0 = frac * (1 - rho)
+
+    def slab(y):
+        return 2 * math.sqrt(max(rho * rho - (y - y0) ** 2, 0.0)) / (1 - y * y)
+
+    want, _ = quad(slab, y0 - rho, y0 + rho, epsabs=1e-13, epsrel=1e-13,
+                   limit=200)
+    assert abs(disk_weighted_area(rho, x0, y0) - want) < 1e-12
+
+
+def _piece_by_scan(starts, lengths, s):
+    # reference: a linear scan over the piece ends
+    k = 0
+    while k < 8 and s >= starts[k + 1] - 1e-15 and s >= starts[k + 1] - lengths[k] * 0:
+        if s < starts[k + 1]:
+            break
+        k += 1
+    return min(k, 7)
+
+
+@pytest.mark.parametrize("W, h, rho", [
+    (40.0, 0.28, 0.014),
+    (3.0, 0.5, 0.2),
+    (1.0, 0.5, 0.5),     # W = 2 rho and rho = h: flat and vertical runs empty
+    (2.0, 0.3, 0.3),     # rho = h: vertical runs empty
+    (0.4, 0.5, 0.2),     # W = 2 rho: flat runs empty
+    (1e-3, 0.7, 5e-4),
+])
+def test_rounded_rectangle_piece_choice(W, h, rho):
+    import numpy as np
+
+    starts = list(rounded_rectangle(W, h, rho).breakpoints)
+    lengths = [b - a for a, b in zip(starts[:-1], starts[1:])]
+    P = starts[-1]
+    probes = [s for b in starts
+              for s in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))]
+    probes += np.linspace(0.0, P, 4001).tolist()
+    for s in probes:
+        s = s % P
+        assert shapes._piece(starts, s) == _piece_by_scan(starts, lengths, s)
