@@ -260,14 +260,14 @@ def _chords_fibers(args):
 
 def _hw_mcduff(args):
     from .surface import ConjClass, FuchsianRep, SurfacePresentation, \
-        mcduff_hw_generators, parse_word
+        mcduff_hw_generators
 
     pres = SurfacePresentation(args.genus)
     if args.genus != 2:
         raise ValueError("built-in Fuchsian data covers genus 2 only")
+    gamma = ConjClass(pres, pres.class_key(pres.parse(args.gamma)))
+    beta = ConjClass(pres, pres.class_key(pres.parse(args.beta)))
     rep = FuchsianRep(pres)
-    gamma = ConjClass(pres, pres.class_key(parse_word(args.gamma)))
-    beta = ConjClass(pres, pres.class_key(parse_word(args.beta)))
     word_len = min(args.L, 5)
     out = mcduff_hw_generators(gamma, beta, rep, word_len=word_len,
                                t_cutoff=args.T)
@@ -337,15 +337,18 @@ def _homology_sh_torus(args):
 
 def _homology_sh_mcduff(args):
     from .homology import sh_mcduff
+    from .surface import SurfacePresentation
 
     classes = (args.classes or "").replace(",", " ").split()
-    if args.genus == 2:
-        from .surface import SurfacePresentation, parse_word
-
-        pres = SurfacePresentation(2)
-        for c in classes:
-            if pres.is_trivial(parse_word(c)):
-                raise ValueError("class %r is trivial in the surface group" % c)
+    pres = SurfacePresentation(args.genus)
+    keys = set()
+    for c in classes:
+        key = pres.class_key(pres.parse(c))
+        if key == ():
+            raise ValueError("class %r is trivial in the surface group" % c)
+        if key in keys:
+            raise ValueError("class %r is listed twice, up to conjugacy" % c)
+        keys.add(key)
     out = sh_mcduff(args.genus, args.tmax, classes)
     return ({"params": {"classes": classes}, "results": out},
             [{"name": "positive-block-matches-classes", "pass":

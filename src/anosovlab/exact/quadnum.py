@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
-
 
 def square_free_decompose(n):
     """Write n > 0 as f^2 * d with d square-free; return (f, d)."""
@@ -179,6 +177,8 @@ class QuadNum:
 
     def to_mpf(self, prec=200):
         """High-precision value, used only by floating shadow oracles."""
+        import mpmath
+
         with mpmath.workprec(prec):
             return mpmath.mpf(self.a.numerator) / self.a.denominator + (
                 mpmath.mpf(self.b.numerator) / self.b.denominator

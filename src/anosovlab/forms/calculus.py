@@ -289,7 +289,7 @@ def one_form_vector(value, dim):
     return np.array([value.get((i,), 0.0) for i in range(dim)])
 
 
-def solve_reeb(alpha, point, h=1e-5, tol_rank=1e-12):
+def solve_reeb(alpha, point, h=1e-5):
     """Unique R with d(alpha)(R, .) = 0 and alpha(R) = 1 on a 3-chart."""
     if alpha.chart.dim != 3:
         raise DimensionMismatch("Reeb solve needs a 3-dimensional chart")

@@ -384,7 +384,7 @@ def _check(name, value, tol):
     return {"check": name, "max_residual": float(value), "pass": bool(value <= tol)}
 
 
-def check_geiges(alpha_minus, alpha_plus, samples, tol=1e-8, h=1e-5):
+def check_geiges(alpha_minus, alpha_plus, samples, h=1e-5):
     """Geiges-pair identities on a 3-chart, plus a sign report."""
     if alpha_minus.chart.dim != 3:
         raise ValueError("Geiges check needs a 3-dimensional chart")
@@ -452,7 +452,7 @@ def psl2_invariance(form, element, samples, tau=1.0):
 def _suite_torus_bundle(samples, tol, seed):
     checks = []
     pts3 = TB3.sample_points(samples, seed, margin=1e-4)
-    g = check_geiges(ALPHA_MINUS, ALPHA_PLUS, pts3, tol)
+    g = check_geiges(ALPHA_MINUS, ALPHA_PLUS, pts3)
     checks.append(_check("tb.geiges.sum", g["sum_residual"], tol))
     checks.append(_check("tb.geiges.mixed", g["mixed_residual"], tol))
     checks.append(
@@ -510,7 +510,7 @@ def _suite_torus_bundle(samples, tol, seed):
 def _suite_mcduff_fermi(samples, tol, seed):
     checks = []
     pts3 = FERMI3.sample_points(samples, seed, margin=1e-4)
-    g = check_geiges(ALPHA_PRE_FERMI, ALPHA_CAN_FERMI, pts3, tol)
+    g = check_geiges(ALPHA_PRE_FERMI, ALPHA_CAN_FERMI, pts3)
     checks.append(_check("fermi.geiges.sum", g["sum_residual"], tol))
     checks.append(_check("fermi.geiges.mixed", g["mixed_residual"], tol))
     checks.append(

@@ -2,24 +2,29 @@
 
 A closed curve beta = (f, g) in the strip |y| < eps = tanh(delta) winding
 once around the origin bounds an exact torus precisely when its weighted
-area int dx dy / (1 - y^2) equals 2 pi; the weighted area is evaluated as
-the boundary integral of x/(1-y^2) dy by adaptive Gauss-Legendre
-quadrature on each smooth piece.  The curve family is a stadium (two
-horizontal segments with semicircular caps) parametrized by arclength; its
-weighted area is linear in the segment length, so the exact-area length is
-a closed form.  Flow lines of the plane field are closed forms too.
+area int dx dy / (1 - y^2) equals 2 pi.  A closed curve is a cycle of
+smooth pieces, each evaluated in its own parameter u from 0 to its length;
+the stadium and the rounded rectangle are one table of four straight runs
+and four quarter arcs, in local arclength.  The weighted area is the
+boundary integral of x/(1-y^2) dy by adaptive Gauss-Legendre quadrature
+piece by piece, and the winding number sums the angle swept piece by
+piece.  The stadium's weighted area is linear in its segment length, so
+the exact-area length is a closed form.  Flow lines of the plane field are
+closed forms too.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(20))
+_WINDING_STEPS = 64      # uniform steps per piece before bisection
 
 
 class OriginOnCurve(ValueError):
@@ -55,30 +60,91 @@ class StripSpec:
 
 @dataclass
 class PlaneCurve:
-    """Parametrized curve with derivatives; closed iff period is set."""
+    """Parametrized curve with derivatives; closed iff period is set.
 
-    f: object
-    g: object
-    fp: object
-    gp: object
+    A closed curve is the cycle `pieces` of (length, at) pairs, at(u) =
+    (x, y, x', y') for 0 <= u <= length; `breakpoints` are the piece starts
+    followed by the period.  Given pieces, the period, breakpoints and
+    f, g, fp, gp follow from them; given f, g, fp, gp and a period, there is
+    one piece per breakpoint interval, or one for the whole period."""
+
+    f: object = None
+    g: object = None
+    fp: object = None
+    gp: object = None
     period: float = None          # None for curves on a line/ray
-    breakpoints: tuple = ()       # smooth pieces for quadrature
+    breakpoints: tuple = ()
     meta: dict = field(default_factory=dict)
+    pieces: tuple = ()
+
+    def __post_init__(self):
+        if self.pieces:
+            self.breakpoints = tuple(itertools.accumulate(
+                (length for length, _ in self.pieces), initial=0.0))
+            self.period = self.breakpoints[-1]
+            self.f, self.g, self.fp, self.gp = (
+                (lambda s, i=i: self.at(s)[i]) for i in range(4))
+        elif self.closed:
+            self.breakpoints = self.breakpoints or (0.0, self.period)
+            self.pieces = tuple(
+                (b - a, self._shifted(a))
+                for a, b in zip(self.breakpoints, self.breakpoints[1:]))
+
+    def _shifted(self, a):
+        f, g, fp, gp = self.f, self.g, self.fp, self.gp
+        return lambda u: (f(a + u), g(a + u), fp(a + u), gp(a + u))
 
     @property
     def closed(self):
         return self.period is not None
 
+    def at(self, s):
+        """(x, y, x', y') at s of a closed curve, by one piece lookup."""
+        s %= self.period
+        k = _piece(self.breakpoints, s)
+        return self.pieces[k][1](s - self.breakpoints[k])
+
     def point(self, s):
-        return (self.f(s), self.g(s))
+        return self.at(s)[:2] if self.closed else (self.f(s), self.g(s))
 
     def sample(self, n=2048, lo=None, hi=None):
         if self.closed:
             ss = np.linspace(0.0, self.period, n, endpoint=False)
         else:
             ss = np.linspace(lo, hi, n)
-        pts = np.array([[self.f(s), self.g(s)] for s in ss])
+        pts = np.array([self.point(s) for s in ss])
         return ss, pts
+
+
+def _segment(x0, y0, dx, dy):
+    return lambda u: (x0 + u * dx, y0 + u * dy, dx, dy)
+
+
+def _arc(cx, cy, rho, a0):
+    def at(u):
+        a = a0 + u / rho
+        c, s = math.cos(a), math.sin(a)
+        return (cx + rho * c, cy + rho * s, -s, c)
+
+    return at
+
+
+def _racetrack(flat, vert, rho, meta):
+    """Counterclockwise runs of length flat, vert, flat, vert joined by
+    quarter arcs of radius rho, centred at the origin, from the left end of
+    the bottom run; a run may have length 0."""
+    cx, cy = flat / 2, vert / 2
+    arc = math.pi * rho / 2
+    return PlaneCurve(meta=meta, pieces=(
+        (flat, _segment(-cx, -cy - rho, 1.0, 0.0)),
+        (arc, _arc(cx, -cy, rho, -math.pi / 2)),
+        (vert, _segment(cx + rho, -cy, 0.0, 1.0)),
+        (arc, _arc(cx, cy, rho, 0.0)),
+        (flat, _segment(cx, cy + rho, -1.0, 0.0)),
+        (arc, _arc(-cx, cy, rho, math.pi / 2)),
+        (vert, _segment(-cx - rho, cy, 0.0, -1.0)),
+        (arc, _arc(-cx, -cy, rho, math.pi)),
+    ))
 
 
 def stadium_curve(seg_length, h):
@@ -88,61 +154,8 @@ def stadium_curve(seg_length, h):
     if h <= 0:
         raise ValueError("cap radius h > 0 required")
     L = float(seg_length)
-    P = 2 * L + 2 * math.pi * h
-
-    def locate(s):
-        s = s % P
-        if s < L:
-            return ("bottom", s)
-        if s < L + math.pi * h:
-            return ("right", (s - L) / h)
-        if s < 2 * L + math.pi * h:
-            return ("top", s - L - math.pi * h)
-        return ("left", (s - 2 * L - math.pi * h) / h)
-
-    def f(s):
-        piece, u = locate(s)
-        if piece == "bottom":
-            return -L / 2 + u
-        if piece == "right":
-            return L / 2 + h * math.sin(u)
-        if piece == "top":
-            return L / 2 - u
-        return -L / 2 - h * math.sin(u)
-
-    def g(s):
-        piece, u = locate(s)
-        if piece == "bottom":
-            return -h
-        if piece == "right":
-            return -h * math.cos(u)
-        if piece == "top":
-            return h
-        return h * math.cos(u)
-
-    def fp(s):
-        piece, u = locate(s)
-        if piece == "bottom":
-            return 1.0
-        if piece == "right":
-            return math.cos(u)
-        if piece == "top":
-            return -1.0
-        return -math.cos(u)
-
-    def gp(s):
-        piece, u = locate(s)
-        if piece == "bottom":
-            return 0.0
-        if piece == "right":
-            return math.sin(u)
-        if piece == "top":
-            return 0.0
-        return -math.sin(u)
-
-    breaks = (0.0, L, L + math.pi * h, 2 * L + math.pi * h, P)
-    return PlaneCurve(f=f, g=g, fp=fp, gp=gp, period=P, breakpoints=breaks,
-                      meta={"family": "stadium", "seg_length": L, "h": h})
+    return _racetrack(L, 0.0, h,
+                      {"family": "stadium", "seg_length": L, "h": h})
 
 
 def rounded_rectangle(width, h, corner_radius):
@@ -155,63 +168,11 @@ def rounded_rectangle(width, h, corner_radius):
     if not 0 < rho <= h:
         raise ValueError("0 < corner_radius <= h required")
     W = float(width)
-    flat = W - 2 * rho          # straight horizontal run
-    vert = 2 * (h - rho)        # straight vertical run
-    if flat < 0:
+    if W - 2 * rho < 0:
         raise ValueError("width too small for the corner radius")
-    arc = math.pi * rho / 2
-    # pieces: bottom, corner, right, corner, top, corner, left, corner
-    lengths = [flat, arc, vert, arc, flat, arc, vert, arc]
-    starts = [0.0]
-    for ln in lengths:
-        starts.append(starts[-1] + ln)
-    P = starts[-1]
-    cx, cy = W / 2 - rho, h - rho
-
-    def point_and_velocity(s):
-        s = s % P
-        k = _piece(starts, s)
-        u = s - starts[k]
-        if k == 0:
-            return (-cx + u, -h), (1.0, 0.0)
-        if k == 1:
-            a = -math.pi / 2 + u / rho
-            return (cx + rho * math.cos(a), -cy + rho * math.sin(a)), (
-                -math.sin(a), math.cos(a))
-        if k == 2:
-            return (W / 2, -cy + u), (0.0, 1.0)
-        if k == 3:
-            a = u / rho
-            return (cx + rho * math.cos(a), cy + rho * math.sin(a)), (
-                -math.sin(a), math.cos(a))
-        if k == 4:
-            return (cx - u, h), (-1.0, 0.0)
-        if k == 5:
-            a = math.pi / 2 + u / rho
-            return (-cx + rho * math.cos(a), cy + rho * math.sin(a)), (
-                -math.sin(a), math.cos(a))
-        if k == 6:
-            return (-W / 2, cy - u), (0.0, -1.0)
-        a = math.pi + u / rho
-        return (-cx + rho * math.cos(a), -cy + rho * math.sin(a)), (
-            -math.sin(a), math.cos(a))
-
-    def f(s):
-        return point_and_velocity(s)[0][0]
-
-    def g(s):
-        return point_and_velocity(s)[0][1]
-
-    def fp(s):
-        return point_and_velocity(s)[1][0]
-
-    def gp(s):
-        return point_and_velocity(s)[1][1]
-
-    return PlaneCurve(f=f, g=g, fp=fp, gp=gp, period=P,
-                      breakpoints=tuple(starts),
-                      meta={"family": "rounded-rectangle", "width": W,
-                            "h": h, "corner_radius": rho})
+    return _racetrack(W - 2 * rho, 2 * (h - rho), rho,
+                      {"family": "rounded-rectangle", "width": W,
+                       "h": h, "corner_radius": rho})
 
 
 def _piece(starts, s):
@@ -220,26 +181,40 @@ def _piece(starts, s):
     return min(bisect.bisect_right(starts, s) - 1, len(starts) - 2)
 
 
+def _angle(at, u):
+    x, y = at(u)[:2]
+    if math.hypot(x, y) < 1e-12:
+        raise OriginOnCurve("curve passes through the origin")
+    return math.atan2(y, x)
+
+
+def _swept(at, lo, hi, a_lo, a_hi):
+    """Angle swept from at(lo) to at(hi), halving [lo, hi] until each step
+    turns by less than pi/2."""
+    d = (a_hi - a_lo + math.pi) % (2 * math.pi) - math.pi
+    if abs(d) < math.pi / 2:
+        return d
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:
+        raise OriginOnCurve("angle increments do not settle")
+    a_mid = _angle(at, mid)
+    return _swept(at, lo, mid, a_lo, a_mid) + _swept(at, mid, hi, a_mid, a_hi)
+
+
 def winding_number(curve):
-    """Degree about the origin by adaptive angle accumulation."""
+    """Degree about the origin: the angle swept piece by piece, from
+    positions only."""
     if not curve.closed:
         raise ValueError("winding number needs a closed curve")
-    n = 256
-    while True:
-        ss = np.linspace(0.0, curve.period, n, endpoint=False)
-        pts = np.array([[curve.f(s), curve.g(s)] for s in ss])
-        rad = np.hypot(pts[:, 0], pts[:, 1])
-        if np.min(rad) < 1e-12:
-            raise OriginOnCurve("curve passes through the origin")
-        ang = np.arctan2(pts[:, 1], pts[:, 0])
-        d = np.diff(np.concatenate([ang, ang[:1]]))
-        d = (d + math.pi) % (2 * math.pi) - math.pi
-        if np.max(np.abs(d)) < math.pi / 2:
-            total = float(np.sum(d))
-            return int(round(total / (2 * math.pi)))
-        n *= 2
-        if n > 1 << 22:
-            raise OriginOnCurve("angle increments do not settle")
+    total = 0.0
+    for length, at in curve.pieces:
+        if length <= 0:
+            continue
+        us = [length * i / _WINDING_STEPS for i in range(_WINDING_STEPS + 1)]
+        angles = [_angle(at, u) for u in us]
+        total += sum(_swept(at, us[i], us[i + 1], angles[i], angles[i + 1])
+                     for i in range(_WINDING_STEPS))
+    return int(round(total / (2 * math.pi)))
 
 
 def assert_in_strip(curve, eps, n=4096):
@@ -254,7 +229,6 @@ def assert_simple(curve, n=2048):
     """Jordan-curve certification by a vectorized segment sweep."""
     _, pts = curve.sample(n)
     nxt = np.roll(pts, -1, axis=0)
-    d = nxt - pts
     lo = np.minimum(pts, nxt)
     hi = np.maximum(pts, nxt)
     for i in range(n):
@@ -284,34 +258,35 @@ def _segments_cross(p1, p2, q1, q2):
     )
 
 
-def _gauss(fn, a, b):
+def _gauss(fn, at, a, b):
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    return r * sum(w * fn(c + r * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+    return r * sum(w * fn(*at(c + r * x)) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
 def _integrate(fn, curve, tol):
-    """int fn over one period, by globally adaptive 20-point Gauss-Legendre
-    on each smooth piece.
+    """int fn(x, y, x', y') over one period, by globally adaptive 20-point
+    Gauss-Legendre on each piece in its own parameter.
 
     Each interval carries the rule on its two halves; the one whose halves
     disagree most with the whole is split, until the disagreements sum to
     at most tol or 200 intervals are in use (then the estimate stands and
     the caller's residual checks decide)."""
 
-    def entry(lo, hi, whole):
+    def entry(at, lo, hi, whole):
         mid = 0.5 * (lo + hi)
-        left, right = _gauss(fn, lo, mid), _gauss(fn, mid, hi)
+        left, right = _gauss(fn, at, lo, mid), _gauss(fn, at, mid, hi)
         return (-abs(left + right - whole), lo, hi, left, right)
 
-    breaks = curve.breakpoints or (0.0, curve.period)
     total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        heap = [entry(a, b, _gauss(fn, a, b))]
+    for length, at in curve.pieces:
+        if length <= 0:
+            continue
+        heap = [entry(at, 0.0, length, _gauss(fn, at, 0.0, length))]
         while -sum(e[0] for e in heap) > tol and len(heap) < 200:
             _, lo, hi, left, right = heapq.heappop(heap)
             mid = 0.5 * (lo + hi)
-            heapq.heappush(heap, entry(lo, mid, left))
-            heapq.heappush(heap, entry(mid, hi, right))
+            heapq.heappush(heap, entry(at, lo, mid, left))
+            heapq.heappush(heap, entry(at, mid, hi, right))
         total += sum(e[3] + e[4] for e in heap)
     return total
 
@@ -323,12 +298,7 @@ def weighted_area(curve, tol=1e-10):
     _, pts = curve.sample(512)
     if float(np.max(np.abs(pts[:, 1]))) >= 1.0:
         raise OutOfStrip("curve leaves |y| < 1 where the form is singular")
-
-    def integrand(s):
-        y = curve.g(s)
-        return curve.f(s) * curve.gp(s) / (1.0 - y * y)
-
-    return _integrate(integrand, curve, tol)
+    return _integrate(lambda x, y, xp, yp: x * yp / (1.0 - y * y), curve, tol)
 
 
 def build_exact_beta(delta, height_frac=0.9):
@@ -375,12 +345,8 @@ def verify_exactness(curve, delta=None, n=1000):
         at = math.atanh(gv)
         worst = max(worst, abs(math.cosh(at) * gv + math.sinh(-at)))
 
-    def integrand(s):
-        fv, gv = curve.f(s), curve.g(s)
-        fpv, gpv = curve.fp(s), curve.gp(s)
-        return -fv * gpv / (1.0 - gv * gv) + (fv * gpv - gv * fpv) / (
-            fv * fv + gv * gv
-        )
+    def integrand(x, y, xp, yp):
+        return -x * yp / (1.0 - y * y) + (x * yp - y * xp) / (x * x + y * y)
 
     period = _integrate(integrand, curve, 1e-12)
     area = weighted_area(curve)

@@ -110,6 +110,14 @@ class SurfacePresentation:
     def generators(self):
         return [(i,) for i in range(1, self.n_generators + 1)]
 
+    def parse(self, text):
+        """parse_word, keeping to the letters a_i, b_i with i <= genus."""
+        word = parse_word(text)
+        if any(abs(x) > self.n_generators for x in word):
+            raise ValueError("%r has a letter beyond a%d, b%d"
+                             % (text, self.genus, self.genus))
+        return word
+
     # ---------------------------------------------------- Dehn moves
 
     def _relator_at(self, word, i, stop):

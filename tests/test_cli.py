@@ -82,7 +82,16 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
            ["hw", "mcduff", "--T", "-1"],
            ["homology", "mapping-torus", "--format", "csv"],
            ["homology", "circle-bundle", "--format", "csv"],
-           ["homology", "hochschild", "--format", "csv"]]
+           ["homology", "hochschild", "--format", "csv"],
+           # surface words: letters beyond the genus, a trivial or a
+           # repeated class
+           ["hw", "mcduff", "--gamma", "a5"],
+           ["hw", "mcduff", "--beta", "B3"],
+           ["sh", "mcduff", "--genus", "2", "--classes", "a5"],
+           ["sh", "mcduff", "--genus", "3", "--classes", "xyz"],
+           ["sh", "mcduff", "--genus", "3", "--classes", "a1A1"],
+           ["sh", "mcduff", "--classes", "a1,a1"],
+           ["homology", "sh-mcduff", "--classes", "a1,b1a1B1"]]
     # a tolerance must be a finite float > 0, or the gate is switched off
     for tol in ("inf", "nan", "-1"):
         bad.append(["forms", "check", "--suite", "torus-bundle", "--tol", tol,

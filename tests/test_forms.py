@@ -352,18 +352,26 @@ def test_scrambled_halton_matches_qmc_bytes(d):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_geometry_imports_leave_scipy_unloaded():
+@pytest.mark.parametrize("modules, run, package", [
     # scipy.stats alone cost about 0.5 s and 70 MB of import, scipy.integrate
     # and scipy.optimize about 0.7 s and 42 MB; running the beta-curve
     # criterion and a flow line must not load them lazily either
-    code = ("import sys, anosovlab.surface, anosovlab.hyperbolic, "
-            "anosovlab.forms, anosovlab.shapes, anosovlab.acceptance, "
-            "anosovlab.oracles; "
-            "assert anosovlab.acceptance.criterion_10_beta_curve()['pass']; "
-            "anosovlab.shapes.integrate_plane_field((0.05, 0.02), (0.0, 4.0)).f(2.0); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    (("surface", "hyperbolic", "forms", "shapes", "acceptance", "oracles"),
+     "assert anosovlab.acceptance.criterion_10_beta_curve()['pass']; "
+     "anosovlab.shapes.integrate_plane_field((0.05, 0.02), (0.0, 4.0)).f(2.0)",
+     "scipy"),
+    # mpmath is a reference for the oracles only: the exact side and the CLI
+    # load it for nothing (about 4 MB of import)
+    (("toral", "chords", "homology", "cli"),
+     "anosovlab.cli.main(['toral', 'orbits', '--matrix', '2 1 1 1', '--N', '3'])",
+     "mpmath"),
+], ids=["scipy", "mpmath"])
+def test_imports_leave_package_unloaded(modules, run, package):
+    code = ("import sys, %s; %s; sys.stderr.write(repr(sorted("
+            "m for m in sys.modules if m.split('.')[0] == %r)))"
+            % (", ".join("anosovlab." + m for m in modules), run, package))
     src = os.path.dirname(os.path.dirname(anosovlab.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    err = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+                         env=dict(os.environ, PYTHONPATH=src)).stderr
+    assert err.strip() == "[]"

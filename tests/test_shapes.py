@@ -30,7 +30,7 @@ def _circle(rho, ccw=True):
         f=lambda t: rho * math.cos(s * t),
         g=lambda t: rho * math.sin(s * t),
         fp=lambda t: -s * rho * math.sin(s * t),
-        gp=lambda t: s * rho * math.cos(s * t) * s,
+        gp=lambda t: s * rho * math.cos(s * t),
         period=2 * math.pi,
     )
 
@@ -39,6 +39,8 @@ def test_winding_circle():
     assert winding_number(_circle(0.5)) == 1
     assert winding_number(_circle(0.5, ccw=False)) == -1
     assert winding_number(stadium_curve(3.0, 0.2)) == 1
+    # a uniform sample over the period once needed 2^22 points here
+    assert winding_number(stadium_curve(3000.0, 1e-3)) == 1
 
 
 def test_winding_origin_on_curve():
@@ -76,6 +78,39 @@ def test_weighted_area_orientation():
         ) + (c.period,),
     )
     assert abs(weighted_area(rev) + weighted_area(c)) < 1e-9
+    cw, ccw = weighted_area(_circle(0.3, ccw=False)), weighted_area(_circle(0.3))
+    assert abs(cw + ccw) < 1e-12 and ccw > 0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(L=st.floats(0.0, 5000.0), h=st.floats(1e-3, 0.99))
+def test_long_stadium_area_matches_closed_form(L, h):
+    # caps in their own arclength: a global s of size L once cost 6.7e-12
+    want = 2 * L * math.atanh(h) + 2 * math.pi * (1 - math.sqrt(1 - h * h))
+    assert abs(weighted_area(stadium_curve(L, h)) - want) <= 1e-13 * max(1.0, want)
+
+
+@pytest.mark.parametrize("curve", [stadium_curve(3.0, 0.2), stadium_curve(0.0, 0.5),
+                                   rounded_rectangle(3.0, 0.5, 0.2),
+                                   rounded_rectangle(1.0, 0.5, 0.5)])
+def test_racetrack_pieces_join(curve):
+    # each piece ends where the next starts, with the same unit tangent
+    assert len(curve.pieces) == 8 and len(curve.breakpoints) == 9
+    for (length, at), (_, nxt) in zip(curve.pieces, curve.pieces[1:] + curve.pieces[:1]):
+        end, start = at(length), nxt(0.0)
+        assert max(abs(a - b) for a, b in zip(end, start)) < 1e-15 * curve.period + 1e-15
+        assert abs(math.hypot(end[2], end[3]) - 1.0) < 1e-15
+
+
+def test_build_thin_beta():
+    # a winding number from a uniform sample over the period once raised
+    # OriginOnCurve here after about 19 s
+    rep = verify_exactness(build_exact_beta(0.001, 0.5))
+    assert rep["pointwise_residual"] < 1e-12
+    assert abs(rep["period_residual"]) < 1e-8
+    assert rep["consistency"] < 1e-10
+    assert abs(rep["weighted_area"] - 2 * math.pi) < 1e-8
+    assert rep["winding"] == 1
 
 
 def test_thin_rectangle_asymptotics():

@@ -50,6 +50,10 @@ def test_word_parsing():
     assert parse_word("a1 A1") == (1, -1)
     with pytest.raises(ValueError):
         parse_word("q5")
+    assert PRES.parse("a2B2") == (3, -4)
+    for text in ("a3", "B3", "a1b9"):  # letters beyond genus 2
+        with pytest.raises(ValueError):
+            PRES.parse(text)
 
 
 def test_relator_reduces_to_empty():
