@@ -436,13 +436,13 @@ def run_all(verbose=True):
     lines go to stderr, so stdout carries only the caller's report."""
     results = []
     for fn in CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             res = fn()
         except Exception as exc:  # a crash is a failure, not an abort
             res = {"pass": False, "details": {"error": repr(exc)}}
         res["name"] = fn.__name__
-        res["elapsed_s"] = round(time.time() - t0, 3)
+        res["elapsed_s"] = round(time.perf_counter() - t0, 3)
         results.append(res)
         if verbose:
             print(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import mpmath
 
@@ -137,38 +138,51 @@ def _edge_floats(H, sign, to_mp=False, prec=200):
 
 
 def chord_membership_float(H, p, q, sign, kmax):
-    """Float64 shadow of the exact cone test; returns a set of (m, n)."""
+    """Float64 shadow of the exact cone test; returns a set of (m, n).
+
+    IEEE subtraction with gradual underflow is 0 only when x == y and keeps
+    the sign of x - y otherwise, so `x - y > 0` is `x > y`: the products
+    are compared as they stand (see _cone_members)."""
     e0, e1 = _edge_floats(H, sign)
     rx = float(Fraction(q[0]) - Fraction(p[0]))
     ry = float(Fraction(q[1]) - Fraction(p[1]))
-    out = set()
-    for m in range(-kmax, kmax + 1):
-        for n in range(-kmax, kmax + 1):
-            wx, wy = m + rx, n + ry
-            if wx == 0 and wy == 0:
-                continue
-            if e0[0] * wy - e0[1] * wx > 0 and wx * e1[1] - wy * e1[0] > 0:
-                out.add((m, n))
-    return out
+    return _cone_members(e0, e1, rx, ry, kmax)
 
 
 def chord_membership_mp(H, p, q, sign, kmax, prec=200):
-    """200-bit shadow of the exact cone test."""
+    """200-bit shadow of the exact cone test.
+
+    At a fixed precision mpmath rounds x - y to nearest with an unbounded
+    exponent, so round(x - y) > 0 holds exactly when x > y: comparing the
+    200-bit products decides as their differences did (see _cone_members)."""
     with mpmath.workprec(prec):
         e0, e1 = _edge_floats(H, sign, to_mp=True, prec=prec)
         rx = Fraction(q[0]) - Fraction(p[0])
         ry = Fraction(q[1]) - Fraction(p[1])
         rxm = mpmath.mpf(rx.numerator) / rx.denominator
         rym = mpmath.mpf(ry.numerator) / ry.denominator
-        out = set()
-        for m in range(-kmax, kmax + 1):
-            for n in range(-kmax, kmax + 1):
-                wx, wy = m + rxm, n + rym
-                if wx == 0 and wy == 0:
-                    continue
-                if e0[0] * wy - e0[1] * wx > 0 and wx * e1[1] - wy * e1[0] > 0:
-                    out.add((m, n))
-        return out
+        return _cone_members(e0, e1, rxm, rym, kmax)
+
+
+def _cone_members(e0, e1, rx, ry, kmax):
+    """(m, n) in the box with e0[0] wy > e0[1] wx and wx e1[1] > wy e1[0],
+    where w = (m + rx, n + ry), in the arithmetic of rx and ry.
+
+    Each product depends on one index, so it is formed once per m or per n
+    and the double loop only compares.  The zero vector needs no skip:
+    all four products are 0 there and both strict tests fail."""
+    ks = range(-kmax, kmax + 1)
+    wys = [n + ry for n in ks]
+    a0 = [e0[0] * wy for wy in wys]
+    b1 = [wy * e1[0] for wy in wys]
+    out = set()
+    for m in ks:
+        wx = m + rx
+        b0 = e0[1] * wx
+        a1 = wx * e1[1]
+        out.update((m, n) for n, a0n, b1n in zip(ks, a0, b1)
+                   if a0n > b0 and a1 > b1n)
+    return out
 
 
 def cone_box_area(H, sign, k, grid=1500):
@@ -256,49 +270,81 @@ def chord_box_scan(coeffs, D, den, rxn, ryn, kmax, want_points=True):
 
 # --------------------------------------------------- triangle sampling
 
-def _sample_geodesic(g, n):
+@lru_cache(maxsize=None)
+def _unit_samples(n):
+    """cos and sin of n angles across the upper half circle, by math.cos
+    and math.sin, and n heights up a vertical line."""
     import numpy as np
 
-    if g.is_vertical:
-        ys = np.tan(np.linspace(0.05, math.pi / 2 - 0.05, n))
-        return [complex(g.foot, y) for y in ys]
     angs = np.linspace(0.02, math.pi - 0.02, n)
-    return [
-        complex(g.center + g.radius * math.cos(a), g.radius * math.sin(a))
-        for a in angs
-    ]
+    cos = np.array([math.cos(a) for a in angs])
+    sin = np.array([math.sin(a) for a in angs])
+    return cos, sin, np.tan(np.linspace(0.05, math.pi / 2 - 0.05, n))
+
+
+def _sample_geodesic(g, n):
+    """x and y coordinates of n points along g, as two float arrays."""
+    import numpy as np
+
+    cos, sin, tan = _unit_samples(n)
+    if g.is_vertical:
+        return np.full(n, g.foot), tan
+    return g.center + g.radius * cos, g.radius * sin
+
+
+def _sides(h, xs, ys):
+    """h.side at every point (xs[i], ys[i]), bit for bit.
+
+    np.hypot is the libm hypot behind abs(complex).  The square goes through
+    math.pow like `** 2`: NumPy's square is x * x, which differs from glibc
+    pow in the last bit on about 1 value in 1200 (x86-64)."""
+    import numpy as np
+
+    if h.is_vertical:
+        return xs - h.foot
+    hyp = np.hypot(xs - h.center, ys).tolist()
+    sq = np.fromiter(map(math.pow, hyp, repeat(2.0)), float, len(hyp))
+    return sq - h.radius**2
 
 
 def _crossing_by_sampling(g, h, n=2000, bisect=80):
-    """Locate a transverse crossing of g and h by sign change of h.side."""
-    pts = _sample_geodesic(g, n)
-    sides = [h.side(z) for z in pts]
-    for i in range(n - 1):
-        if sides[i] == 0.0:
-            return pts[i]
-        if sides[i] * sides[i + 1] < 0:
-            lo, hi = pts[i], pts[i + 1]
-            slo = sides[i]
-            for _ in range(bisect):
-                mid = 0.5 * (lo + hi)
-                # project the chord midpoint back onto g
-                if g.is_vertical:
-                    mid = complex(g.foot, mid.imag)
-                else:
-                    ang = math.atan2(mid.imag, mid.real - g.center)
-                    mid = complex(
-                        g.center + g.radius * math.cos(ang),
-                        g.radius * math.sin(ang),
-                    )
-                sm = h.side(mid)
-                if sm == 0.0:
-                    return mid
-                if slo * sm < 0:
-                    hi = mid
-                else:
-                    lo, slo = mid, sm
-            return 0.5 * (lo + hi)
-    return None
+    """Locate a transverse crossing of g and h by sign change of h.side.
+
+    h.side is evaluated on all n samples along g at once, bit for bit (see
+    _sides).  The first i with side 0, or with a strict sign change to
+    i + 1, decides, as a point-by-point scan would; a sign change is then
+    bisected `bisect` times along g by scalar h.side calls."""
+    import numpy as np
+
+    xs, ys = _sample_geodesic(g, n)
+    sides = _sides(h, xs, ys)
+    hits = np.flatnonzero((sides[:-1] == 0.0) | (sides[:-1] * sides[1:] < 0))
+    if not len(hits):
+        return None
+    i = hits[0]
+    if sides[i] == 0.0:
+        return complex(xs[i], ys[i])
+    lo, hi = complex(xs[i], ys[i]), complex(xs[i + 1], ys[i + 1])
+    slo = float(sides[i])
+    for _ in range(bisect):
+        mid = 0.5 * (lo + hi)
+        # project the chord midpoint back onto g
+        if g.is_vertical:
+            mid = complex(g.foot, mid.imag)
+        else:
+            ang = math.atan2(mid.imag, mid.real - g.center)
+            mid = complex(
+                g.center + g.radius * math.cos(ang),
+                g.radius * math.sin(ang),
+            )
+        sm = h.side(mid)
+        if sm == 0.0:
+            return mid
+        if slo * sm < 0:
+            hi = mid
+        else:
+            lo, slo = mid, sm
+    return 0.5 * (lo + hi)
 
 
 def triangle_count_sampled(g0, g1, g2, ell1, K):

@@ -149,6 +149,22 @@ def test_chord_slope_matches_quadnum_reference(A, sign, w):
             chord_slope(H, w, sign)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(A=st.sampled_from(MATRIX_BATTERY), sign=st.sampled_from((1, -1)),
+       p=st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS),
+       q=st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS)
+       | st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       kmax=st.integers(0, 30))
+def test_membership_shadows_match_exact(A, sign, p, q, kmax):
+    # an integer q is read as a shift of p: the zero vector is in the box
+    if all(isinstance(c, int) for c in q):
+        q = (p[0] + q[0], p[1] + q[1])
+    H = eigen_data(A)
+    exact = {(c.m, c.n) for c in enumerate_chords(H, p, q, sign, kmax).chords}
+    assert chord_membership_mp(H, p, q, sign, kmax) == exact
+    assert chord_membership_float(H, p, q, sign, kmax) == exact
+
+
 def test_fibers_empty_and_counts():
     assert enumerate_rational_fibers(H, +1, 0) == []
     fibers = enumerate_rational_fibers(H, +1, 5)

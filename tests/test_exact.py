@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,6 +57,37 @@ def test_quad_sign_against_200bit():
             ref = x.to_mpf(200)
             ref_sign = 0 if ref == 0 else (1 if ref > 0 else -1)
         assert x.sign() == ref_sign
+
+
+def _sqrt_convergents(D, qmax=2**80):
+    """Continued-fraction convergents p/q of sqrt(D), D not a square."""
+    a0 = math.isqrt(D)
+    m, d, a = 0, 1, a0
+    p0, q0, p1, q1 = 1, 0, a0, 1
+    out = []
+    while q1 <= qmax:
+        out.append((p1, q1))
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    return out
+
+
+# |p - q sqrt(D)| < 1/q: the value cancels to about 1/q^2 of its parts,
+# which 200 bits still resolve for q <= 2^80
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(D=st.integers(2, 99).filter(lambda D: math.isqrt(D) ** 2 != D),
+       i=st.integers(0, 10**6), shift=st.sampled_from((-1, 0, 1)),
+       s=st.sampled_from((1, -1)), den=st.integers(1, 997))
+def test_quad_sign_near_zero_against_200bit(D, i, shift, s, den):
+    convs = _sqrt_convergents(D)
+    p, q = convs[i % len(convs)]
+    x = QuadNum(Fraction(s * (p + shift), den), Fraction(-s * q, den), D)
+    with mpmath.workprec(200):
+        ref = x.to_mpf(200)
+        ref_sign = 0 if ref == 0 else (1 if ref > 0 else -1)
+    assert x.sign() == ref_sign != 0
 
 
 def test_snf_examples():

@@ -365,7 +365,14 @@ def test_scrambled_halton_matches_qmc_bytes(d):
     (("toral", "chords", "homology", "cli"),
      "anosovlab.cli.main(['toral', 'orbits', '--matrix', '2 1 1 1', '--N', '3'])",
      "mpmath"),
-], ids=["scipy", "mpmath"])
+    # the benchmark's correctness gate imports the oracles and runs both
+    # membership shadows in processes that never load numpy (about 12 MB)
+    (("exact", "toral", "chords", "homology", "oracles"),
+     "H = anosovlab.toral.eigen_data(anosovlab.toral.parse_matrix('2 1 1 1')); "
+     "assert anosovlab.oracles.chord_membership_float(H, (0, 0), (0, 0), 1, 10)"
+     " == anosovlab.oracles.chord_membership_mp(H, (0, 0), (0, 0), 1, 10)",
+     "numpy"),
+], ids=["scipy", "mpmath", "numpy"])
 def test_imports_leave_package_unloaded(modules, run, package):
     code = ("import sys, %s; %s; sys.stderr.write(repr(sorted("
             "m for m in sys.modules if m.split('.')[0] == %r)))"
