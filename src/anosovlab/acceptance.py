@@ -342,14 +342,17 @@ def criterion_12_surface_group():
     ok = rep.relator_residual < 1e-8
     rng = random.Random(7)
     alphabet = [1, -1, 2, -2, 3, -3, 4, -4]
+    # the 7 letters allowed after each letter, in alphabet order
+    follow = {g: [s for s in alphabet if s != -g] for g in alphabet}
 
     def random_reduced(maxlen):
+        """A uniform reduced word of uniform length in [1, maxlen]: the
+        first letter from all 8, each next one from the 7 that follow."""
         L = rng.randint(1, maxlen)
-        w = []
-        for _ in range(L):
-            g = rng.choice(alphabet)
-            while w and w[-1] == -g:
-                g = rng.choice(alphabet)
+        g = rng.choice(alphabet)
+        w = [g]
+        for j in rng.choices(range(7), k=L - 1):
+            g = follow[g][j]
             w.append(g)
         return tuple(w)
 

@@ -2,13 +2,16 @@
 
 Forms are stored as coefficient functions on sorted index tuples; the
 exterior derivative is taken analytically when the closed-form coefficients
-were registered and by central differences otherwise.  All solves reduce to
-small dense linear systems at a point.
+were registered and by central differences otherwise.  The solves at a
+point are closed forms of their 3 x 3 and 4 x 4 systems: the kernel of
+d(alpha) for the Reeb field, the Pfaffian adjugate for the Liouville field
+and the symplectic frame.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache, lru_cache
 from itertools import combinations, permutations
 
@@ -289,23 +292,78 @@ def one_form_vector(value, dim):
     return np.array([value.get((i,), 0.0) for i in range(dim)])
 
 
+# The Reeb and Liouville systems count as singular where their determinant,
+# a(k) or Pf, is at most this share of the norms that bound it: max(M, N) eps,
+# the default rank tolerance of lstsq on the 4 x 3 Reeb system.
+_SINGULAR = 4 * sys.float_info.epsilon
+
+
+def _kernel(w):
+    """k = (w12, -w02, w01), spanning the kernel of a 2-form value w on a
+    3-chart: w(k, .) = 0."""
+    return w.get((1, 2), 0.0), -w.get((0, 2), 0.0), w.get((0, 1), 0.0)
+
+
+def contact_volume(a, w):
+    """Top coefficient of a ^ w for a 1-form value a and a 2-form value w on
+    a 3-chart: a(k) for the kernel k of w."""
+    k0, k1, k2 = _kernel(w)
+    return a.get((0,), 0.0) * k0 + a.get((1,), 0.0) * k1 + a.get((2,), 0.0) * k2
+
+
+def reeb_vector(a, w):
+    """The R with w(R, .) = 0 and a(R) = 1: R = k / a(k) for the kernel k.
+
+    Raises SingularSystem where a(k) vanishes relative to |a| |k| (k = 0
+    included), i.e. where |cos| of the angle between a and k is at most
+    _SINGULAR."""
+    k = _kernel(w)
+    ak = contact_volume(a, w)
+    norm = math.hypot(*(a.get((i,), 0.0) for i in range(3))) * math.hypot(*k)
+    if not abs(ak) > _SINGULAR * norm:
+        raise SingularSystem("d(alpha) degenerate on ker(alpha): a(k) = %r" % ak)
+    return np.array(k) / ak
+
+
+_PAIRS4 = tuple(combinations(range(4), 2))
+
+
+def _six(w):
+    """The coefficients w01, w02, w03, w12, w13, w23 of a 2-form value on a
+    4-chart."""
+    return tuple([w.get(idx, 0.0) for idx in _PAIRS4])
+
+
+def _pfaffian(a, b, c, d, e, f):
+    return a * f - b * e + c * d
+
+
+def _inverse(w):
+    """(O, O^-1) for the 4 x 4 matrix O of w: O^-1 is the Pfaffian adjugate
+    over Pf, since O adj(O) = Pf I for an antisymmetric 4 x 4 O.
+
+    Raises SingularSystem where |Pf| is at most _SINGULAR |w|^2 (always
+    |Pf| <= |w|^2 / 2, with |w| the norm of the six coefficients)."""
+    a, b, c, d, e, f = six = _six(w)
+    pf = _pfaffian(*six)
+    if not abs(pf) > _SINGULAR * sum(x * x for x in six):
+        raise SingularSystem("degenerate 2-form: Pf = %r" % pf)
+    O = np.array([[0.0, a, b, c], [-a, 0.0, d, e], [-b, -d, 0.0, f], [-c, -e, -f, 0.0]])
+    adj = np.array([[0.0, -f, e, -d], [f, 0.0, -c, b], [-e, c, 0.0, -a], [d, -b, a, 0.0]])
+    return O, adj / pf
+
+
+def liouville_vector(lam, w):
+    """The X with i_X w = lam on a 4-chart: O^T X = lam, so X = -O^-1 lam."""
+    return -(_inverse(w)[1] @ one_form_vector(lam, 4))
+
+
 def solve_reeb(alpha, point, h=1e-5):
     """Unique R with d(alpha)(R, .) = 0 and alpha(R) = 1 on a 3-chart."""
     if alpha.chart.dim != 3:
         raise DimensionMismatch("Reeb solve needs a 3-dimensional chart")
     p = np.asarray(point, dtype=float)
-    dal = exterior_derivative(alpha, p, h)
-    O = two_form_matrix(dal, 3)
-    a = one_form_vector(alpha.value(p), 3)
-    # rows: omega(R, e_j) = (O^T R)_j = 0 and alpha . R = 1
-    A = np.vstack([O.T, a])
-    b = np.array([0.0, 0.0, 0.0, 1.0])
-    R, residual, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < 3:
-        raise SingularSystem("d(alpha) degenerate on ker(alpha) at %r" % (p,))
-    if np.linalg.norm(A @ R - b) > 1e-6:
-        raise SingularSystem("inconsistent Reeb system at %r" % (p,))
-    return R
+    return reeb_vector(alpha.value(p), exterior_derivative(alpha, p, h))
 
 
 def solve_liouville(lmbda, point, h=1e-5):
@@ -313,27 +371,33 @@ def solve_liouville(lmbda, point, h=1e-5):
     if lmbda.chart.dim != 4:
         raise DimensionMismatch("Liouville solve needs a 4-dimensional chart")
     p = np.asarray(point, dtype=float)
-    O = two_form_matrix(exterior_derivative(lmbda, p, h), 4)
-    lam = one_form_vector(lmbda.value(p), 4)
-    # (i_X omega)(e_j) = omega(X, e_j) = (O^T X)_j
-    try:
-        X = np.linalg.solve(O.T, lam)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return X
+    return liouville_vector(lmbda.value(p), exterior_derivative(lmbda, p, h))
 
 
 def omega_wedge_omega(lmbda, point, h=1e-5):
-    """Top coefficient of d(lmbda) ^ d(lmbda) on a 4-chart."""
-    w = exterior_derivative(lmbda, point, h)
-    top = wedge(w, 2, w, 2, 4)
-    return top[(0, 1, 2, 3)]
+    """Top coefficient of d(lmbda) ^ d(lmbda) on a 4-chart: 2 Pf."""
+    return 2.0 * _pfaffian(*_six(exterior_derivative(lmbda, point, h)))
 
 
 def check_nondegenerate(lmbda, samples, h=1e-5):
     """Min |omega ^ omega| coefficient over the sample set."""
-    vals = sorted(abs(omega_wedge_omega(lmbda, p, h)) for p in samples)
-    return vals[0] if vals else float("nan")
+    return min((abs(omega_wedge_omega(lmbda, p, h)) for p in samples),
+               default=float("nan"))
+
+
+def frame_vectors(w, th, X):
+    """symplectic_frame from the value w of omega and the vectors of theta
+    and X at one point; both solves use the one inverse of O."""
+    O, Oinv = _inverse(w)
+    e_s = np.array([1.0, 0.0, 0.0, 0.0])
+    # omega(e_j, X_s) = (O X_s)_j = ds_j
+    X_s = Oinv[:, 0]
+    i_es_omega = O[0]               # (i_{d/ds} omega)(e_j) = omega(e_s, e_j)
+    th_corr = th - float(th @ X_s) * i_es_omega
+    X_th = Oinv @ th_corr
+    frame = np.array([e_s, X_s, X, X_th])
+    pairing = frame @ O @ frame.T
+    return frame, pairing, th_corr
 
 
 def symplectic_frame(lmbda, theta, X_field, point, h=1e-5):
@@ -347,25 +411,8 @@ def symplectic_frame(lmbda, theta, X_field, point, h=1e-5):
     if lmbda.chart.dim != 4:
         raise DimensionMismatch("frame needs a 4-dimensional chart")
     p = np.asarray(point, dtype=float)
-    O = two_form_matrix(exterior_derivative(lmbda, p, h), 4)
-    ds = np.array([1.0, 0.0, 0.0, 0.0])
-    th = one_form_vector(theta.value(p), 4)
-    X = X_field.value(p)
-    try:
-        # omega(e_j, X_s) = (O X_s)_j = ds_j
-        X_s = np.linalg.solve(O, ds)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    e_s = np.array([1.0, 0.0, 0.0, 0.0])
-    i_es_omega = O.T @ e_s          # (i_{d/ds} omega)(e_j) = omega(e_s, e_j)
-    th_corr = th - float(th @ X_s) * i_es_omega
-    try:
-        X_th = np.linalg.solve(O, th_corr)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    frame = np.array([e_s, X_s, X, X_th])
-    pairing = np.array([[frame[i] @ (O @ frame[j]) for j in range(4)] for i in range(4)])
-    return frame, pairing, th_corr
+    return frame_vectors(exterior_derivative(lmbda, p, h),
+                         one_form_vector(theta.value(p), 4), X_field.value(p))
 
 
 def jacobian_fd(F, point, h=1e-6):

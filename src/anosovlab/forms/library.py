@@ -17,6 +17,7 @@ from .calculus import (
     DifferentialForm,
     VectorField,
     check_nondegenerate,
+    contact_volume,
     exterior_derivative,
     fd_convergence_ratio,
     max_value_deviation,
@@ -24,7 +25,6 @@ from .calculus import (
     solve_liouville,
     solve_reeb,
     symplectic_frame,
-    wedge,
     zero_value,
 )
 
@@ -390,18 +390,17 @@ def check_geiges(alpha_minus, alpha_plus, samples, h=1e-5):
         raise ValueError("Geiges check needs a 3-dimensional chart")
     worst_sum = worst_mixed = 0.0
     signs = set()
-    top = (0, 1, 2)
     for p in samples:
         vp = alpha_plus.value(p)
         vm = alpha_minus.value(p)
         dp = exterior_derivative(alpha_plus, p, h)
         dm = exterior_derivative(alpha_minus, p, h)
-        pp = wedge(vp, 1, dp, 2, 3)[top]
-        mm = wedge(vm, 1, dm, 2, 3)[top]
+        pp = contact_volume(vp, dp)
+        mm = contact_volume(vm, dm)
         worst_sum = max(worst_sum, abs(pp + mm))
         signs.add(math.copysign(1.0, pp))
-        worst_mixed = max(worst_mixed, abs(wedge(vm, 1, dp, 2, 3)[top]))
-        worst_mixed = max(worst_mixed, abs(wedge(vp, 1, dm, 2, 3)[top]))
+        worst_mixed = max(worst_mixed, abs(contact_volume(vm, dp)))
+        worst_mixed = max(worst_mixed, abs(contact_volume(vp, dm)))
     return {
         "sum_residual": worst_sum,
         "mixed_residual": worst_mixed,

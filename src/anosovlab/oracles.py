@@ -7,10 +7,11 @@ quadratic arithmetic, a point-by-point box scan instead of row intervals,
 dense sampling instead of circle algebra, Mobius products instead of
 axis-frame dilations for triangle translates, direct region integrals by
 mpmath tanh-sinh instead of boundary integrals by Gauss-Legendre, LAPACK
-determinants instead of Leibniz sums for the minors of a pullback,
-QuadNum eigen-coefficients instead of integer ones for chord slopes, and
-the geometric mpmath construction of the genus-2 octagon group instead of
-its exact Z[sqrt 2] data.
+determinants instead of Leibniz sums for the minors of a pullback, LAPACK
+solves instead of kernels and Pfaffian adjugates for the Reeb, Liouville
+and frame vectors, QuadNum eigen-coefficients instead of integer ones for
+chord slopes, and the geometric mpmath construction of the genus-2 octagon
+group instead of its exact Z[sqrt 2] data.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-import mpmath
-
 from .exact import GradedZModule, IntMatrix, QuadNum
 from .exact.intmat import chain_homology
 from .chords import cone_spec
 from .toral import torus_apply
 
-# numpy and .hyperbolic are imported inside the few oracles that use them:
-# callers of the exact oracles do not pay for loading them.
+# mpmath, numpy and .hyperbolic are imported inside the oracles that use
+# them: callers of the exact oracles do not pay for loading them.
 
 
 # ------------------------------------------------ cellular (co)homology
@@ -102,8 +101,8 @@ def fixed_points_pointwise_check(A, n, points):
         den = den * x.denominator // math.gcd(den, x.denominator)
         den = den * y.denominator // math.gcd(den, y.denominator)
     for x, y in points:
-        nx = int(x * den)
-        ny = int(y * den)
+        nx = x.numerator * (den // x.denominator)
+        ny = y.numerator * (den // y.denominator)
         if (a * nx + b * ny - nx) % den or (c * nx + d * ny - ny) % den:
             return False
     return True
@@ -126,6 +125,8 @@ def fixed_points_grid_scan(A, n, q):
 def _edge_floats(H, sign, to_mp=False, prec=200):
     cone = cone_spec(H, sign)
     if to_mp:
+        import mpmath
+
         with mpmath.workprec(prec):
             return (
                 [cone.edge0[0].to_mpf(prec), cone.edge0[1].to_mpf(prec)],
@@ -155,6 +156,8 @@ def chord_membership_mp(H, p, q, sign, kmax, prec=200):
     At a fixed precision mpmath rounds x - y to nearest with an unbounded
     exponent, so round(x - y) > 0 holds exactly when x > y: comparing the
     200-bit products decides as their differences did (see _cone_members)."""
+    import mpmath
+
     with mpmath.workprec(prec):
         e0, e1 = _edge_floats(H, sign, to_mp=True, prec=prec)
         rx = Fraction(q[0]) - Fraction(p[0])
@@ -308,7 +311,9 @@ def _sides(h, xs, ys):
 
 
 def _crossing_by_sampling(g, h, n=2000, bisect=80):
-    """Locate a transverse crossing of g and h by sign change of h.side.
+    """Locate a transverse crossing of g and h by sign change of h.side;
+    None when h has the endpoints of g, since h.side along g is then
+    rounding noise of both signs.
 
     h.side is evaluated on all n samples along g at once, bit for bit (see
     _sides).  The first i with side 0, or with a strict sign change to
@@ -316,6 +321,8 @@ def _crossing_by_sampling(g, h, n=2000, bisect=80):
     bisected `bisect` times along g by scalar h.side calls."""
     import numpy as np
 
+    if {g.a, g.b} == {h.a, h.b}:
+        return None
     xs, ys = _sample_geodesic(g, n)
     sides = _sides(h, xs, ys)
     hits = np.flatnonzero((sides[:-1] == 0.0) | (sides[:-1] * sides[1:] < 0))
@@ -446,6 +453,8 @@ def triangle_enumerate_products(g0, g1, g2, ell1, K, collision_tol=1e-9):
 def disk_weighted_area(rho, x0=0.0, y0=0.0):
     """Direct 2-D integral of 1/(1-y^2) over a disk (x-slab integrated
     exactly, then tanh-sinh quadrature in y, split at the centre)."""
+    import mpmath
+
     if abs(y0) + rho >= 1.0:
         raise ValueError("disk must stay inside the strip |y| < 1")
 
@@ -459,6 +468,8 @@ def disk_weighted_area(rho, x0=0.0, y0=0.0):
 def stadium_weighted_area_direct(seg_length, h):
     """Direct 2-D integral over the stadium region by horizontal slabs
     (tanh-sinh quadrature in y, split at the centre)."""
+    import mpmath
+
     L = seg_length
 
     def slab(y):
@@ -511,11 +522,63 @@ def apply_form_det(value, vectors):
     return total
 
 
+# ----------------------------------------------- forms by LAPACK solves
+
+def reeb_vector_lstsq(a, w):
+    """forms.calculus.reeb_vector by least squares on [O^T; a] R = e_4 for
+    the values a, w on a 3-chart; SingularSystem below rank 3."""
+    import numpy as np
+
+    from .forms.calculus import SingularSystem, one_form_vector, two_form_matrix
+
+    A = np.vstack([two_form_matrix(w, 3).T, one_form_vector(a, 3)])
+    R, _, rank, _ = np.linalg.lstsq(A, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)
+    if rank < 3:
+        raise SingularSystem("d(alpha) degenerate on ker(alpha)")
+    return R
+
+
+def _solve(O, b):
+    import numpy as np
+
+    from .forms.calculus import SingularSystem
+
+    try:
+        return np.linalg.solve(O, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+
+
+def liouville_vector_solve(lam, w):
+    """forms.calculus.liouville_vector by LU: O^T X = lam on a 4-chart."""
+    from .forms.calculus import one_form_vector, two_form_matrix
+
+    return _solve(two_form_matrix(w, 4).T, one_form_vector(lam, 4))
+
+
+def frame_vectors_solve(w, th, X):
+    """forms.calculus.frame_vectors with X_s and X_theta by LU solves and
+    the pairing entry by entry."""
+    import numpy as np
+
+    from .forms.calculus import two_form_matrix
+
+    O = two_form_matrix(w, 4)
+    e_s = np.array([1.0, 0.0, 0.0, 0.0])
+    X_s = _solve(O, e_s)
+    th_corr = th - float(th @ X_s) * (O.T @ e_s)
+    frame = np.array([e_s, X_s, X, _solve(O, th_corr)])
+    pairing = np.array([[frame[i] @ (O @ frame[j]) for j in range(4)] for i in range(4)])
+    return frame, pairing, th_corr
+
+
 # ------------------------------------------------ octagon construction
 # The geometric construction of the genus-2 side pairings in mpmath, the
 # reference for the exact Z[sqrt 2] data of surface.FuchsianRep.
 
 def _mp_rotation(phi):
+    import mpmath
+
     c, s = mpmath.cos(phi / 2), mpmath.sin(phi / 2)
     return mpmath.matrix([[c, s], [-s, c]])
 
@@ -526,6 +589,8 @@ def _mp_apply(m, z):
 
 def _mp_normalizer(P, Q):
     """Isometry sending P to i and Q up the imaginary axis."""
+    import mpmath
+
     s = mpmath.sqrt(P.imag)
     M = mpmath.matrix([[1 / s, -P.real / s], [0, s]])
     Q1 = _mp_apply(M, Q)
@@ -542,6 +607,8 @@ def _mp_normalizer(P, Q):
 
 
 def _mp_inv(m):
+    import mpmath
+
     return mpmath.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / (
         m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     )
@@ -555,6 +622,8 @@ def octagon_generators(dps=70):
     for a generator g maps the side labeled g^{-1} onto the side labeled g
     with reversed orientation.  Returns (mp matrices dict, relator residual).
     """
+    import mpmath
+
     with mpmath.workdps(dps):
         cosh_rv = 3 + 2 * mpmath.sqrt(2)
         sinh_rv = mpmath.sqrt(cosh_rv**2 - 1)

@@ -133,16 +133,27 @@ class SurfacePresentation:
         return m, rel
 
     def dehn_reduce(self, word):
-        """Greedy Dehn shortening; empty output iff the word is trivial."""
+        """Greedy Dehn shortening; empty output iff the word is trivial.
+
+        The scan is _relator_at(w, i, len(w)) inlined: at each i, the one
+        relator starting with w[i:i+2] and the length m it shares with w.
+        It stops where fewer than half + 1 letters are left to match."""
+        by_prefix, half = self._by_prefix, self.half
         w = free_reduce(word)
+        n = len(w)
         i = 0
-        while i < len(w):
-            m, rel = self._relator_at(w, i, len(w))
-            if m > self.half:
-                w = free_reduce(w[:i] + invert_word(rel[m:]) + w[i + m :])
-                i = 0
-            else:
-                i += 1
+        while i + half < n:
+            rel = by_prefix.get(w[i : i + 2])
+            if rel is not None:
+                m, end = 2, min(n - i, len(rel))
+                while m < end and w[i + m] == rel[m]:
+                    m += 1
+                if m > half:
+                    w = free_reduce(w[:i] + invert_word(rel[m:]) + w[i + m :])
+                    n = len(w)
+                    i = 0
+                    continue
+            i += 1
         return w
 
     def is_trivial(self, word):
@@ -294,10 +305,16 @@ def _block(word):
 
 
 def _coords(word):
-    # three letters per step: the 456 reduced blocks fill the cache quickly
-    v = [1, 0, 0, 0, 0, 0, 0, 0]
-    for i in range(0, len(word), 3):
-        v = _apply(v, _block(word[i : i + 3]))
+    """The 8 integers of the word: three letters per step (the 456 reduced
+    blocks fill the cache quickly), _apply inlined, and the product started
+    from row 0 of the first block, which is 1 times that block."""
+    if not word:
+        return list(_ONE)
+    v = [col[0] for col in _block(word[:3])]
+    for i in range(3, len(word), 3):
+        a, b, c, d, e, f, g, h = v
+        v = [a * c0 + b * c1 + c * c2 + d * c3 + e * c4 + f * c5 + g * c6 + h * c7
+             for c0, c1, c2, c3, c4, c5, c6, c7 in _block(word[i : i + 3])]
     return v
 
 

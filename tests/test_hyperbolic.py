@@ -165,9 +165,10 @@ def test_triangle_empty_when_disjoint():
                     st.floats(0.2, 3.0)),
        ell=st.floats(0.8, 2.5), K=st.integers(0, 6))
 def test_triangle_counts_vs_sampling_oracle(g0, g2, ell, K):
-    # the ranges of acceptance criterion 11, with K up to 6.  A shared
-    # endpoint leaves g0 and g2 asymptotic or equal, where h.side along g is
-    # rounding noise and the sampling oracle is no reference
+    # the ranges of acceptance criterion 11, with K up to 6.  One shared
+    # endpoint leaves g0 and g2 asymptotic, where h.side along g is rounding
+    # noise and the sampling oracle is no reference (two make them equal,
+    # which the oracle reports as no crossing)
     assume(g0.a != g2.a and g0.b != g2.b)
     try:
         pats = triangle_enumerate(g0, AXIS, g2, ell, K)
@@ -180,6 +181,8 @@ def test_triangle_counts_vs_sampling_oracle(g0, g2, ell, K):
 
 def _scalar_crossing(g, h, n=2000, bisect=80):
     """_crossing_by_sampling as a point-by-point loop over complex samples."""
+    if {g.a, g.b} == {h.a, h.b}:
+        return None
     if g.is_vertical:
         ys = np.tan(np.linspace(0.05, math.pi / 2 - 0.05, n))
         pts = [complex(g.foot, y) for y in ys]
@@ -241,6 +244,14 @@ def test_sampled_sides_bit_for_bit(g, h):
 @given(g=_GEODESICS, h=_GEODESICS)
 def test_crossing_by_sampling_matches_scalar_loop(g, h):
     assert _bits(_crossing_by_sampling(g, h)) == _bits(_scalar_crossing(g, h))
+
+
+def test_sampling_oracle_sees_no_crossing_of_a_geodesic_with_itself():
+    g = Geodesic(-0.5, 0.75)
+    assert _crossing_by_sampling(g, g) is None
+    assert _crossing_by_sampling(g, g.reversed()) is None
+    assert triangle_count_sampled(g, AXIS, g, 1.0, 0) == 0
+    assert triangle_enumerate(g, AXIS, g, 1.0, 0) == []
 
 
 def test_triangle_mobius_invariance():

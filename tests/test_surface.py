@@ -13,7 +13,9 @@ from anosovlab.surface import (
     NotHyperbolicElement,
     SurfacePresentation,
     TrivialClass,
+    _apply,
     _ball_words,
+    _block,
     _coords,
     class_distinctness_mcduff,
     double_coset_count,
@@ -196,6 +198,55 @@ def test_conjugated_relator_is_dehn_trivial(data):
     assert pres.is_trivial(w)
     letter = data.draw(st.sampled_from(letters(genus)))
     assert not pres.is_trivial(free_reduce(w + (letter,)))
+
+
+def _dehn_reduce_reference(pres, word):
+    """dehn_reduce as it was before its scan inlined _relator_at."""
+    w = free_reduce(word)
+    i = 0
+    while i < len(w):
+        m, rel = pres._relator_at(w, i, len(w))
+        if m > pres.half:
+            w = free_reduce(w[:i] + invert_word(rel[m:]) + w[i + m :])
+            i = 0
+        else:
+            i += 1
+    return w
+
+
+def _coords_reference(word):
+    """_coords as it was before it inlined _apply, from the identity row."""
+    v = [1, 0, 0, 0, 0, 0, 0, 0]
+    for i in range(0, len(word), 3):
+        v = _apply(v, _block(word[i : i + 3]))
+    return v
+
+
+@st.composite
+def _test_words(draw, genus, max_size):
+    """u, the first m letters of a symmetrized relator, u^-1 or nothing,
+    then v: random reduced words, conjugated relators, and words with a
+    relator piece anywhere, the last letters included."""
+    u = draw(reduced_words(genus, max_size))
+    rel = draw(st.sampled_from(SurfacePresentation(genus).symmetrized))
+    piece = rel[: draw(st.integers(0, len(rel)))]
+    back = invert_word(u) if draw(st.booleans()) else ()
+    return free_reduce(u + piece + back + draw(reduced_words(genus, 6)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_dehn_reduce_matches_reference(data):
+    genus = data.draw(st.integers(2, 4))
+    pres = SurfacePresentation(genus)
+    w = data.draw(_test_words(genus, 40))
+    assert pres.dehn_reduce(w) == _dehn_reduce_reference(pres, w)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(w=_test_words(2, 40))
+def test_coords_match_reference(w):
+    assert _coords(w) == _coords_reference(w)
 
 
 def test_conjugacy_classes_length_one():
