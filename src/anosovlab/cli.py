@@ -374,7 +374,11 @@ def _hyperbolic_triangles(args):
     g0 = Geodesic(*_parse_boundary(args.g0))
     g1 = Geodesic(*_parse_boundary(args.g1))
     g2 = Geodesic(*_parse_boundary(args.g2))
-    pats = triangle_enumerate(g0, g1, g2, args.l1, args.K)
+    try:
+        pats = triangle_enumerate(g0, g1, g2, args.l1, args.K)
+    except OverflowError:
+        raise ValueError("geodesic endpoints too large for the float "
+                         "range of the triangle arithmetic") from None
     return ({"results": [
                 {"k": p.k, "angle_sum": p.angle_sum, "area": p.area,
                  "vertices": [[v.real, v.imag] for v in p.vertices]}

@@ -17,6 +17,7 @@ group instead of its exact Z[sqrt 2] data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -96,10 +97,7 @@ def fixed_points_pointwise_check(A, n, points):
     large point sets."""
     An = A.pow(n)
     (a, b), (c, d) = An.rows
-    den = 1
-    for x, y in points:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-        den = den * y.denominator // math.gcd(den, y.denominator)
+    den = math.lcm(*{v.denominator for p in points for v in p})
     for x, y in points:
         nx = x.numerator * (den // x.denominator)
         ny = y.numerator * (den // y.denominator)
@@ -189,15 +187,45 @@ def _cone_members(e0, e1, rx, ry, kmax):
 
 
 def cone_box_area(H, sign, k, grid=1500):
-    """Raster estimate of area(cone /\\ box_k); Gauss-counts lattice points."""
+    """Raster estimate of area(cone /\\ box_k); Gauss-counts lattice points.
+
+    The cells of the grid x grid raster of the box whose centres lie
+    strictly inside the float cone, counted row by row (cone_raster_count),
+    times the area of one cell."""
+    e0, e1 = _edge_floats(H, sign)
+    cell = (2.0 * k / grid) ** 2
+    return float(cone_raster_count(e0, e1, k, grid)) * cell
+
+
+def cone_raster_count(e0, e1, k, grid):
+    """Cells of the grid x grid raster of [-k, k]^2 whose centres (x, y)
+    pass e0[0] y - e0[1] x > 0 and x e1[1] - y e1[0] > 0, counted row by row.
+
+    IEEE products and differences round monotonically, so along a row each
+    test is monotone in x: it holds on a prefix or a suffix of the sorted
+    abscissae, or on all or none of them when its x coefficient is 0.  Two
+    bisections per row find the row's run, in O(grid) memory."""
     import numpy as np
 
-    e0, e1 = _edge_floats(H, sign)
-    xs = np.linspace(-k, k, grid, endpoint=False) + k / grid
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    inside = (e0[0] * Y - e0[1] * X > 0) & (X * e1[1] - Y * e1[0] > 0)
-    cell = (2.0 * k / grid) ** 2
-    return float(inside.sum()) * cell
+    xs = (np.linspace(-k, k, grid, endpoint=False) + k / grid).tolist()
+    count = 0
+    for y in xs:
+        a0 = e0[0] * y
+        b1 = y * e1[0]
+        lo0, hi0 = _run(xs, lambda x: a0 - e0[1] * x > 0, -e0[1])
+        lo1, hi1 = _run(xs, lambda x: x * e1[1] - b1 > 0, e1[1])
+        count += max(0, min(hi0, hi1) - max(lo0, lo1))
+    return count
+
+
+def _run(xs, holds, slope):
+    """(lo, hi) with holds(x) true exactly for x in xs[lo:hi], for a test
+    that rises with x when slope > 0, falls when slope < 0, else is flat."""
+    if slope > 0:
+        return bisect_left(xs, True, key=holds), len(xs)
+    if slope < 0:
+        return 0, bisect_left(xs, True, key=lambda x: not holds(x))
+    return (0, len(xs)) if holds(xs[0]) else (0, 0)
 
 
 # ------------------------------------------------- chord slopes

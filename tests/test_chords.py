@@ -1,7 +1,9 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,8 @@ from anosovlab.chords import (
 from anosovlab.oracles import (
     chord_membership_float,
     chord_membership_mp,
+    cone_box_area,
+    cone_raster_count,
     eigen_coefficients,
 )
 from anosovlab.toral import eigen_data, orbits_up_to_period, parse_matrix
@@ -163,6 +167,47 @@ def test_membership_shadows_match_exact(A, sign, p, q, kmax):
     exact = {(c.m, c.n) for c in enumerate_chords(H, p, q, sign, kmax).chords}
     assert chord_membership_mp(H, p, q, sign, kmax) == exact
     assert chord_membership_float(H, p, q, sign, kmax) == exact
+
+
+def _meshgrid_raster_count(e0, e1, k, grid):
+    # the whole 2-D raster at once: the reference for the row count, and
+    # about 71 MB at the production grid of 1500, so only run on small grids
+    xs = np.linspace(-k, k, grid, endpoint=False) + k / grid
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    inside = (e0[0] * Y - e0[1] * X > 0) & (X * e1[1] - Y * e1[0] > 0)
+    return int(inside.sum())
+
+
+# zero components make a test constant along a row, and small integers put
+# cell centres exactly on an edge
+_EDGE_COMPONENTS = (st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0))
+                    | st.floats(-4, 4, allow_nan=False))
+_EDGES = st.lists(_EDGE_COMPONENTS, min_size=2, max_size=2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(e0=_EDGES, e1=_EDGES, k=st.floats(0.5, 200), grid=st.integers(1, 300))
+def test_row_raster_count_matches_meshgrid(e0, e1, k, grid):
+    assert cone_raster_count(e0, e1, k, grid) == _meshgrid_raster_count(
+        e0, e1, k, grid)
+
+
+def test_cone_box_area_pinned():
+    # the values of the 2-D raster at the production grid
+    assert cone_box_area(H, +1, 100) == 3911.5022222222224
+    assert cone_box_area(H, -1, 100) == 4953.6177777777775
+
+
+def test_cone_box_area_runs_in_small_memory():
+    # the 1500 x 1500 meshgrid raster peaked at about 71 MB per call
+    tracemalloc.start()
+    try:
+        for sign in (+1, -1):
+            cone_box_area(H, sign, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fibers_empty_and_counts():

@@ -153,6 +153,22 @@ def test_huge_kmax_is_rejected_before_any_work(capsys):
     assert code == 0 and json.loads(out.decode())["params"]["kmax"] == KMAX_LIMIT
 
 
+@pytest.mark.parametrize("argv", [
+    ["--g0", "-1e300 1e300", "--g1", "0 inf", "--g2", "-1e-300 1e-300",
+     "--l1", "2", "--K", "3"],
+    ["--g0", "-1e200 1e200", "--g1", "0 inf", "--g2", "-0.5 2",
+     "--l1", "2", "--K", "3"],
+    # endpoints of 1e150 still overflow a squared radius or distance
+    ["--g0=1e+150 -1e+150", "--g1=1e+100 1.0", "--g2=1.0 -1e+150",
+     "--l1", "30", "--K", "3"],
+], ids=["1e300", "1e200", "1e150"])
+def test_triangle_overflow_is_a_usage_error(argv, capsys):
+    # each once ended in an OverflowError traceback with exit 1
+    assert main(["hyperbolic", "triangles"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "float range" in err
+
+
 def test_json_round_trip():
     report = {"command": "x", "params": {"a": 1},
               "results": [{"m": 1, "z": 0.25}], "checks": []}
