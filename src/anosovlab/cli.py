@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import DEFAULT_SEED, __version__
@@ -83,6 +84,11 @@ def _count_at_most(limit):
 # box would not fit in memory.  hw torus shares the flag and the bound.
 KMAX_LIMIT = 1000
 _kmax = _count_at_most(KMAX_LIMIT)
+
+# toral fixed, toral orbits and hw torus build every periodic point they
+# count: toral fixed on 95,048 points ("9 2 4 1", --n 5) takes 0.8 s and
+# 121 MB, and --n 30 of the cat map would ask for 3.5e12 points.
+POINTS_LIMIT = 100_000
 
 # hyperbolic triangles reports up to 2K + 1 patterns, and a tiny --l1 makes
 # nearly every translate a hit: at K = 10^4 that report is 6.6 MB and takes
@@ -201,10 +207,29 @@ def _toral_eigen(args):
             [{"name": "eigen-residual-exactly-zero", "pass": exact}])
 
 
+def _refuse_many_points(A, n, flag, cumulative):
+    """Usage error, before anything is built, when the periodic points to
+    list exceed POINTS_LIMIT: |tr(A^n) - 2| of them, or that count summed
+    over the periods <= n when `cumulative`.  The count grows with the period
+    and the trace (tr A^m = lambda^m + lambda^-m), and trace 3 already has
+    103,680 points of period 12, so the loop ends by period 12 whatever n
+    is, and no large power of A is formed."""
+    from .toral import orbit_count_identity
+
+    total = 0
+    for m in range(1, n + 1):
+        count = orbit_count_identity(A, m)
+        total = total + count if cumulative else count
+        if total > POINTS_LIMIT:
+            raise ValueError("%s %d asks for more than %d periodic points"
+                             % (flag, n, POINTS_LIMIT))
+
+
 def _toral_fixed(args):
     from .toral import fixed_points, orbit_count_identity
 
     A, _ = _hyperbolic_matrix(args)
+    _refuse_many_points(A, args.n, "--n", cumulative=False)
     pts = fixed_points(A, args.n)
     expected = orbit_count_identity(A, args.n)
     return ({"results": [{"x": _fr(p[0]), "y": _fr(p[1])} for p in pts]},
@@ -213,23 +238,19 @@ def _toral_fixed(args):
 
 
 def _toral_orbits(args):
-    from .toral import orbit_count_identity, orbits_up_to_period
+    from .toral import orbit_count_identity, orbit_point_count, orbits_up_to_period
 
     A, _ = _hyperbolic_matrix(args)
+    _refuse_many_points(A, args.N, "--N", cumulative=True)
     orbits = orbits_up_to_period(A, args.N)
     results = [
         {"period": o.period,
          "points": ["%s %s" % (_fr(p[0]), _fr(p[1])) for p in o.points]}
         for o in orbits
     ]
-    ok = True
-    for n in range(1, args.N + 1):
-        lhs = sum(
-            d * sum(1 for o in orbits if o.period == d)
-            for d in range(1, n + 1)
-            if n % d == 0
-        )
-        ok = ok and lhs == orbit_count_identity(A, n)
+    pi = Counter(o.period for o in orbits)
+    ok = all(orbit_point_count(pi, n) == orbit_count_identity(A, n)
+             for n in range(1, args.N + 1))
     return {"results": results}, [{"name": "orbit-counting-identity", "pass": ok}]
 
 
@@ -281,6 +302,7 @@ def _hw_torus(args):
     from .chords import hw_rank_table
 
     A, H = _hyperbolic_matrix(args)
+    _refuse_many_points(A, args.N, "--N", cumulative=True)
     orbits = orbits_up_to_period(A, args.N)
     i, j = args.orbit1, args.orbit2
     if not (0 <= i < len(orbits) and 0 <= j < len(orbits)):

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 
 from .exact import GradedZModule, IntMatrix, QuadNum
 from .exact.intmat import chain_homology
@@ -90,20 +90,20 @@ def _cochain_cohomology(ranks, boundaries):
 
 # ----------------------------------------------------- toral dynamics
 
-def fixed_points_pointwise_check(A, n, points):
-    """Verify A^n p = p mod Z^2 for every claimed point, exactly.
-
-    Works over integer numerators on a common denominator to stay cheap on
-    large point sets."""
-    An = A.pow(n)
-    (a, b), (c, d) = An.rows
-    den = math.lcm(*{v.denominator for p in points for v in p})
+def fixed_points_pointwise_check(A, n, den, points):
+    """Verify the integer form (den, [(nx, ny), ...]) of the A^n-fixed points
+    exactly: every pair lies in [0, den)^2, (A^n - I) maps it into den Z^2,
+    and no two pairs are equal.  Equal pairs are neighbours once sorted; the
+    sorted list of references takes 0.3 MB at 39,200 points, where a set of
+    the pairs takes 2 MB."""
+    (a, b), (c, d) = (A.pow(n) - IntMatrix.identity(2)).rows
     for x, y in points:
-        nx = x.numerator * (den // x.denominator)
-        ny = y.numerator * (den // y.denominator)
-        if (a * nx + b * ny - nx) % den or (c * nx + d * ny - ny) % den:
+        if not (0 <= x < den and 0 <= y < den):
             return False
-    return True
+        if (a * x + b * y) % den or (c * x + d * y) % den:
+            return False
+    ordered = sorted(points)
+    return all(p != q for p, q in zip(ordered, islice(ordered, 1, None)))
 
 
 def fixed_points_grid_scan(A, n, q):

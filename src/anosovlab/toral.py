@@ -147,16 +147,11 @@ def _pin_irrational_edges(vx, vy, lam_p, lam_m):
     raise AssertionError("no rescaling with irrational cone edges found")
 
 
-def _canonical_point(p):
-    """Representative of a rational torus point in [0,1)^2."""
-    return (Fraction(p[0]) % 1, Fraction(p[1]) % 1)
-
-
 def torus_apply(A, p):
-    """Image of a rational torus point under A, canonicalized."""
+    """Image of a rational torus point under A, canonicalized to [0,1)^2."""
     x = A.rows[0][0] * p[0] + A.rows[0][1] * p[1]
     y = A.rows[1][0] * p[0] + A.rows[1][1] * p[1]
-    return _canonical_point((x, y))
+    return (Fraction(x) % 1, Fraction(y) % 1)
 
 
 def fixed_points_raw(A, n):
@@ -164,9 +159,16 @@ def fixed_points_raw(A, n):
 
     (A^n - I) v in Z^2 is solved exactly: with U B V = S and w = V^-1 v,
     the solutions are w = (k1/d1, k2/d2); points are returned as integer
-    numerators over den = d1 d2.  The count equals |det(A^n - I)| =
-    |tr(A^n) - 2|, and injectivity of V mod Z^2 makes the list duplicate
-    free."""
+    numerators over den = d1 d2, the point of (k1, k2) at index k1 d2 + k2.
+    The count equals |det(A^n - I)| = |tr(A^n) - 2|, and injectivity of V
+    mod Z^2 makes the list duplicate free."""
+    _, _, den, raw = _fixed_point_lattice(A, n)
+    return den, raw
+
+
+def _fixed_point_lattice(A, n):
+    """(d1, d2, den, raw): the SNF diagonal of A^n - I, d1 | d2, and the
+    points of fixed_points_raw."""
     if n < 1:
         raise ValueError("n >= 1 required")
     B = A.pow(n) - IntMatrix.identity(2)
@@ -178,8 +180,8 @@ def fixed_points_raw(A, n):
     den = d1 * d2
     col0 = [(v00 * k1 * d2, v10 * k1 * d2) for k1 in range(d1)]
     col1 = [(v01 * k2 * d1, v11 * k2 * d1) for k2 in range(d2)]
-    return den, [((x0 + x1) % den, (y0 + y1) % den)
-                 for x0, y0 in col0 for x1, y1 in col1]
+    return d1, d2, den, [((x0 + x1) % den, (y0 + y1) % den)
+                         for x0, y0 in col0 for x1, y1 in col1]
 
 
 def fixed_points(A, n):
@@ -203,54 +205,67 @@ class PeriodicOrbit:
     points: tuple               # tuple of (Fraction, Fraction), A-iteration order
     period: int
 
-    @property
-    def denominator(self):
-        d = 1
-        for x, y in self.points:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-            d = d * y.denominator // math.gcd(d, y.denominator)
-        return d
 
-    def __contains__(self, p):
-        return _canonical_point(p) in set(self.points)
+def periodic_cycles(A, n):
+    """The A-orbits of exact period n in integer form: (den, cycles).
 
+    cycles is an iterator of lists of fixed_points_raw pairs, each in
+    A-iteration order from the orbit's least point.  Every point traces its
+    cycle only until the first smaller point, so the least point alone
+    traces it to the end and no set of seen points is kept; the cycles come
+    in the order of their least points in fixed_points_raw, one at a time.
 
-def _orbit_of_int(A, p, den):
+    The fixed points form the group Z/d1 g1 + Z/d2 g2, g1 = V (1/d1, 0) and
+    g2 = V (0, 1/d2), with k1 g1 + k2 g2 at index k1 d2 + k2, and A maps it
+    to itself linearly.  So two lookups place A g1 and A g2, the successor
+    of every index follows from them, and a trace step is one table lookup."""
+    d1, d2, den, raw = _fixed_point_lattice(A, n)
     (a, b), (c, d) = A.rows
-    pts = [p]
-    q = ((a * p[0] + b * p[1]) % den, (c * p[0] + d * p[1]) % den)
-    while q != p:
-        pts.append(q)
-        q = ((a * q[0] + b * q[1]) % den, (c * q[0] + d * q[1]) % den)
-    return pts
+
+    def image(i):
+        """(k1, k2) of A times the point at index i."""
+        x, y = raw[i]
+        return divmod(raw.index(((a * x + b * y) % den, (c * x + d * y) % den)), d2)
+
+    # indices d2 and 1 hold g1 and g2, and wrap to the origin when trivial
+    (u1, u2), (w1, w2) = image(d2 % den), image(1 % den)
+    succ = [((k1 * u1 + k2 * w1) % d1) * d2 + (k1 * u2 + k2 * w2) % d2
+            for k1 in range(d1) for k2 in range(d2)]
+
+    def cycles():
+        for i, p in enumerate(raw):
+            cycle = [p]
+            j = succ[i]
+            while raw[j] > p:
+                cycle.append(raw[j])
+                j = succ[j]
+            # closed at p, and not a shorter cycle listed at its own period
+            if j == i and len(cycle) == n:
+                yield cycle
+
+    return den, cycles()
 
 
 def orbits_up_to_period(A, N):
     """Primitive orbits of period <= N, sorted by (period, smallest point).
 
-    The orbits of period n are the A-cycles of length n among the A^n-fixed
-    points; cycles are traced in the integer form of fixed_points_raw, where
-    one denominator makes integer order the order of the points."""
+    One denominator per period makes integer order the order of the points,
+    so sorting the integer cycles of periodic_cycles sorts the orbits."""
     orbits = []
     for n in range(1, N + 1):
-        den, raw = fixed_points_raw(A, n)
-        seen = set()
-        cycles = []
-        for p in raw:
-            if p in seen:
-                continue
-            cycle = _orbit_of_int(A, p, den)
-            seen.update(cycle)
-            if len(cycle) == n:  # shorter cycles were listed at their period
-                i = cycle.index(min(cycle))
-                cycles.append(cycle[i:] + cycle[:i])
-        cycles.sort()
+        den, cycles = periodic_cycles(A, n)
         fr = _fractions_over(den)
         orbits.extend(
             PeriodicOrbit(points=tuple([(fr[x], fr[y]) for x, y in cycle]),
                           period=n)
-            for cycle in cycles)
+            for cycle in sorted(cycles))
     return orbits
+
+
+def orbit_point_count(pi, n):
+    """sum_{d|n} d * pi(d) from period counts pi (period -> orbits): the
+    A^n-fixed points that the orbits of period dividing n account for."""
+    return sum(d * pi.get(d, 0) for d in range(1, n + 1) if n % d == 0)
 
 
 def orbit_count_identity(A, n):

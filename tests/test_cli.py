@@ -7,7 +7,15 @@ import pytest
 
 import anosovlab.hyperbolic
 from anosovlab import acceptance
-from anosovlab.cli import COMMANDS, KMAX_LIMIT, TRIANGLE_K_LIMIT, emit, main
+from anosovlab import cli
+from anosovlab.cli import (
+    COMMANDS,
+    KMAX_LIMIT,
+    POINTS_LIMIT,
+    TRIANGLE_K_LIMIT,
+    emit,
+    main,
+)
 
 
 def _run(argv):
@@ -151,6 +159,39 @@ def test_huge_kmax_is_rejected_before_any_work(capsys):
     assert out == "" and err.count("error: argument --kmax") == 4
     code, out = _run(["hw", "torus", "--N", "1", "--kmax", str(KMAX_LIMIT)])
     assert code == 0 and json.loads(out.decode())["params"]["kmax"] == KMAX_LIMIT
+
+
+def test_huge_point_counts_are_rejected_before_any_work(capsys):
+    # --n 30 of the cat map asks for 3.5e12 points and "5 2 2 1" --n 12 for
+    # 1.5e9; unbounded, both would be built before any check could fail
+    tracemalloc.start()
+    try:
+        for argv in (["toral", "fixed", "--matrix", "2 1 1 1", "--n", "30"],
+                     ["toral", "fixed", "--matrix", "5 2 2 1", "--n", "12"],
+                     ["toral", "fixed", "--matrix", "2 1 1 1", "--n", "10" * 6],
+                     ["toral", "orbits", "--matrix", "2 1 1 1", "--N", "12"],
+                     ["toral", "orbits", "--matrix", "5 2 2 1", "--N", "1000"],
+                     ["hw", "torus", "--matrix", "2 1 1 1", "--N", "12"]):
+            assert main(argv) == 2, argv
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    out, err = capsys.readouterr()
+    assert out == "" and err.count(
+        "asks for more than %d periodic points" % POINTS_LIMIT) == 6
+
+
+def test_point_limit_is_exact(monkeypatch):
+    # the cat map has 1, 5 and 16 points of period dividing 1, 2 and 3
+    monkeypatch.setattr(cli, "POINTS_LIMIT", 16)
+    assert _run(["toral", "fixed", "--matrix", "2 1 1 1", "--n", "3"])[0] == 0
+    assert _run(["toral", "fixed", "--matrix", "2 1 1 1", "--n", "4"])[0] == 2
+    monkeypatch.setattr(cli, "POINTS_LIMIT", 6)
+    for command in ("toral orbits", "hw torus"):
+        argv = command.split() + ["--matrix", "2 1 1 1", "--N"]
+        assert _run(argv + ["2"])[0] == 0
+        assert _run(argv + ["3"])[0] == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -499,7 +499,7 @@ def test_scrambled_halton_matches_qmc_bytes(d):
     (("toral", "homology", "oracles"),
      "A = anosovlab.toral.parse_matrix('2 1 1 1'); "
      "assert anosovlab.oracles.fixed_points_pointwise_check("
-     "A, 3, anosovlab.toral.fixed_points(A, 3)); "
+     "A, 3, *anosovlab.toral.fixed_points_raw(A, 3)); "
      "assert anosovlab.oracles.mapping_torus_cellular_cohomology(A)"
      " == anosovlab.homology.mapping_torus_cohomology(A)",
      "mpmath"),

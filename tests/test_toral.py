@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from anosovlab.exact import QuadNum
+from anosovlab.oracles import fixed_points_pointwise_check
 from anosovlab.toral import (
     NotHyperbolic,
     NotUnimodular,
@@ -12,8 +13,10 @@ from anosovlab.toral import (
     fixed_points,
     fixed_points_raw,
     orbit_count_identity,
+    orbit_point_count,
     orbits_up_to_period,
     parse_matrix,
+    periodic_cycles,
     torus_apply,
 )
 from strategies import hyperbolic_matrices
@@ -136,3 +139,56 @@ def test_periodic_points_and_orbits_properties(A):
         assert sum(d * sum(1 for o in orbits if o.period == d)
                    for d in range(1, n + 1) if n % d == 0) \
             == orbit_count_identity(A, n)
+
+
+def _seen_set_cycles(A, n):
+    """Reference tracer: each raw point's full cycle once, skipping the
+    points already seen, rotated to start at its least point."""
+    den, raw = fixed_points_raw(A, n)
+    (a, b), (c, d) = A.rows
+    seen, cycles = set(), []
+    for p in raw:
+        if p in seen:
+            continue
+        cycle, q = [p], ((a * p[0] + b * p[1]) % den, (c * p[0] + d * p[1]) % den)
+        while q != p:
+            cycle.append(q)
+            q = ((a * q[0] + b * q[1]) % den, (c * q[0] + d * q[1]) % den)
+        seen.update(cycle)
+        if len(cycle) == n:
+            i = cycle.index(min(cycle))
+            cycles.append(cycle[i:] + cycle[:i])
+    return den, sorted(cycles)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(A=hyperbolic_matrices())
+def test_least_point_cycles_match_seen_set_reference(A):
+    n = 1
+    while True:
+        den, cycles = periodic_cycles(A, n)
+        assert (den, sorted(cycles)) == _seen_set_cycles(A, n)
+        if n == 6 or orbit_count_identity(A, n + 1) > 2000:
+            break
+        n += 1
+
+
+def test_orbit_point_count():
+    assert orbit_point_count({}, 3) == 0
+    assert orbit_point_count({1: 1, 2: 2}, 2) == 5  # the cat map's 5 points
+    assert orbit_point_count({1: 4, 2: 14, 3: 64, 4: 280, 6: 9}, 6) \
+        == 4 + 2 * 14 + 3 * 64 + 6 * 9
+
+
+def test_pointwise_oracle_rejects_bad_integer_pairs():
+    den, pts = fixed_points_raw(CAT, 3)
+    assert fixed_points_pointwise_check(CAT, 3, den, pts)
+    x, y = pts[-1]
+    for bad in (
+        pts[:-1] + [pts[0]],             # right count, one pair twice
+        pts[:-1] + [(x + den, y)],       # fixed mod den, out of [0, den)^2
+        pts[:-1] + [(x, y - den)],
+        pts[:-1] + [((x + 1) % den, y)],  # not fixed
+    ):
+        assert len(bad) == orbit_count_identity(CAT, 3)
+        assert not fixed_points_pointwise_check(CAT, 3, den, bad)
