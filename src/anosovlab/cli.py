@@ -69,10 +69,12 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _count_at_most(limit):
-    """argparse type for window sizes: an integer in [0, limit]."""
+def _count_at_most(limit, low=0):
+    """argparse type for window sizes: an integer in [low, limit]."""
+    at_least = _int_at_least(low)
+
     def parse(text):
-        value = _non_negative_int(text)
+        value = at_least(text)
         if value > limit:
             raise argparse.ArgumentTypeError(
                 "need an integer <= %d, got %r" % (limit, text))
@@ -94,6 +96,11 @@ POINTS_LIMIT = 100_000
 # nearly every translate a hit: at K = 10^4 that report is 6.6 MB and takes
 # 0.7 s, so the bound keeps the worst case small.
 TRIANGLE_K_LIMIT = 10_000
+
+# forms check evaluates each suite on its whole sample at once: at 500,000
+# samples the largest suite (mcduff-fermi) peaks at 180 MB under tracemalloc
+# and takes 1.6 s.
+SAMPLES_LIMIT = 500_000
 
 
 def _positive_float(text):
@@ -576,7 +583,7 @@ COMMANDS = {
     "forms": ("closed-form differential checks", (
         ("--suite", {"default": "all", "choices": ("all",) + _SUITES}),
         _TOL,
-        ("--samples", {"type": _positive_int, "default": 1000}),
+        ("--samples", {"type": _count_at_most(SAMPLES_LIMIT, 1), "default": 1000}),
     ), {
         "check": (_forms_check, ("suite", "tol", "samples", "seed"),
                   "forms check"),

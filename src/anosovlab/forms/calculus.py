@@ -1,21 +1,25 @@
 """Numeric exterior calculus on coordinate charts.
 
-Forms are stored as coefficient functions on sorted index tuples; the
-exterior derivative is taken analytically when the closed-form coefficients
-were registered and by central differences otherwise.  The solves at a
-point are closed forms of their 3 x 3 and 4 x 4 systems: the kernel of
-d(alpha) for the Reeb field, the Pfaffian adjugate for the Liouville field
-and the symplectic frame.
+A point is a sequence of coordinates, each a float or a NumPy array over a
+whole sample (``pts.T`` for an n x d sample array ``pts``), and the same
+code takes either: form values are dicts of floats or arrays, and vectors
+and matrices carry the sample along their last axis.  Forms are stored as
+coefficient functions on sorted index tuples; the exterior derivative is
+taken analytically when the closed-form coefficients were registered and by
+central differences otherwise.  The solves are closed forms of their 3 x 3
+and 4 x 4 systems: the kernel of d(alpha) for the Reeb field, the Pfaffian
+adjugate for the Liouville field and the symplectic frame.
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
+
+from .halton import scrambled_halton
 
 
 class OutOfDomain(ValueError):
@@ -28,61 +32,6 @@ class SingularSystem(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-def _primes(d):
-    """The first d primes."""
-    out = []
-    n = 2
-    while len(out) < d:
-        if all(n % p for p in out):
-            out.append(n)
-        n += 1
-    return out
-
-
-@lru_cache(maxsize=64)
-def _halton_digit_terms(d, seed):
-    """Per axis: (base, terms), where terms[j, v] is perm_j[v] / base^(j+1).
-
-    Owen's (2017) random digit permutations perm_j: for the i-th prime
-    `base`, ceil(54 / log2 base) - 1 copies of range(base), each shuffled in
-    turn by one generator shared across the axes (the draws of
-    scipy.stats.qmc.Halton(d, scramble=True, seed=seed)).  The weight of row
-    j + 1 is the weight of row j divided by base, starting from 1/base."""
-    rng = np.random.default_rng(seed)
-    tables = []
-    for base in _primes(d):
-        count = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], count, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        weights = [1.0 / base]
-        for _ in range(count - 1):
-            weights.append(weights[-1] / base)
-        terms = perms * np.array(weights)[:, None]
-        terms.flags.writeable = False
-        tables.append((base, terms))
-    return tuple(tables)
-
-
-def scrambled_halton(n, d, seed):
-    """First n points of the scrambled Halton sequence in [0, 1)^d.
-
-    Coordinate i of point k adds up the digit terms of every row j of the
-    i-th prime, from 0.0 and in row order, so the points are bit-identical
-    to scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)."""
-    k = np.arange(n)
-    out = np.empty((n, d))
-    for i, (base, table) in enumerate(_halton_digit_terms(d, seed)):
-        v = np.zeros(n)
-        place = 1  # base^j
-        for row in table:
-            # past place >= n every digit of k < n is 0
-            v += row[k // place % base] if place < n else row[0]
-            place *= base
-        out[:, i] = v
-    return out
 
 
 class Chart:
@@ -119,12 +68,14 @@ class Chart:
         return pts
 
     def contains(self, point, margin=0.0):
+        """Whether every non-periodic coordinate lies margin inside the box:
+        a boolean array over the points of a sample, a NumPy bool at one
+        point (or where no axis is bounded)."""
+        inside = np.True_
         for x, (lo, hi), per in zip(point, self.box, self.periodic):
-            if per:
-                continue
-            if not (lo + margin <= x <= hi - margin):
-                return False
-        return True
+            if not per:
+                inside = inside & (lo + margin <= x) & (x <= hi - margin)
+        return inside
 
 
 class DifferentialForm:
@@ -141,8 +92,7 @@ class DifferentialForm:
                 raise ValueError("indices must be strictly increasing: %r" % (idx,))
 
     def value(self, point):
-        p = np.asarray(point, dtype=float)
-        return {idx: f(p) for idx, f in self.comps.items()}
+        return {idx: f(point) for idx, f in self.comps.items()}
 
     def has_analytic_d(self):
         return self.d_comps is not None
@@ -162,8 +112,32 @@ class VectorField:
         self.name = name
 
     def value(self, point):
-        p = np.asarray(point, dtype=float)
-        return np.array([f(p) for f in self.comps], dtype=float)
+        return _stack([f(point) for f in self.comps], point[0])
+
+
+def _stack(entries, like=0.0):
+    """The float array of entries, constants broadcast to the sample of
+    `like`: shape (m,) at one point, (m, n) on a sample of n points."""
+    return np.array(np.broadcast_arrays(like, *entries)[1:], dtype=float)
+
+
+def _matrix(rows):
+    """The float array of nested rows: (r, c) at a point, (r, c, n) on a
+    sample."""
+    flat = _stack([x for row in rows for x in row])
+    return flat.reshape((len(rows), -1) + flat.shape[1:])
+
+
+def _dot(u, v):
+    """sum_j u_j v_j, added left to right (so a sample's entries are each
+    the sum at their point)."""
+    return sum(x * y for x, y in zip(u, v))
+
+
+def max_abs(x):
+    """max |x| as a float: over the points of a sample, or |x| at one."""
+    x = abs(x)
+    return float(x.max() if isinstance(x, np.ndarray) else x)
 
 
 def zero_value(dim, degree):
@@ -199,12 +173,18 @@ def _partial(f, point, axis, h):
 
 
 def exterior_derivative(form, point, h=1e-5, force_numeric=False):
-    """d(form) at a point: analytic coefficients if registered, else O(h^2)
-    central differences.  Returns a (k+1)-form value dict."""
+    """d(form) at a point or sample: analytic coefficients if registered,
+    else O(h^2) central differences.  Returns a (k+1)-form value dict.
+
+    Raises OutOfDomain if some point lies outside the box (or within h of
+    it, for differences); the message names the first such point."""
     p = np.asarray(point, dtype=float)
-    if not form.chart.contains(p, margin=0.0 if not force_numeric and form.has_analytic_d() else h):
-        raise OutOfDomain("point %r too close to the box boundary" % (p,))
-    if form.has_analytic_d() and not force_numeric:
+    analytic = form.has_analytic_d() and not force_numeric
+    inside = form.chart.contains(p, margin=0.0 if analytic else h)
+    if not inside.all():
+        first = np.moveaxis(p, 0, -1)[~inside][0]
+        raise OutOfDomain("point %r too close to the box boundary" % (first,))
+    if analytic:
         return {idx: f(p) for idx, f in form.d_comps.items()}
     dim = form.chart.dim
     out = {}
@@ -289,13 +269,21 @@ def two_form_matrix(value, dim):
 
 
 def one_form_vector(value, dim):
-    return np.array([value.get((i,), 0.0) for i in range(dim)])
+    return _stack([value.get((i,), 0.0) for i in range(dim)])
 
 
 # The Reeb and Liouville systems count as singular where their determinant,
 # a(k) or Pf, is at most this share of the norms that bound it: max(M, N) eps,
 # the default rank tolerance of lstsq on the 4 x 3 Reeb system.
 _SINGULAR = 4 * sys.float_info.epsilon
+
+
+def _require(ok, message, value):
+    """Raise SingularSystem unless ok holds at every point; the message
+    shows value at the first point where it fails."""
+    bad = np.logical_not(ok)
+    if bad.any():
+        raise SingularSystem(message % float(np.broadcast_to(value, bad.shape)[bad][0]))
 
 
 def _kernel(w):
@@ -319,10 +307,10 @@ def reeb_vector(a, w):
     _SINGULAR."""
     k = _kernel(w)
     ak = contact_volume(a, w)
-    norm = math.hypot(*(a.get((i,), 0.0) for i in range(3))) * math.hypot(*k)
-    if not abs(ak) > _SINGULAR * norm:
-        raise SingularSystem("d(alpha) degenerate on ker(alpha): a(k) = %r" % ak)
-    return np.array(k) / ak
+    a0, a1, a2 = (a.get((i,), 0.0) for i in range(3))
+    norm = np.hypot(np.hypot(a0, a1), a2) * np.hypot(np.hypot(k[0], k[1]), k[2])
+    _require(abs(ak) > _SINGULAR * norm, "d(alpha) degenerate on ker(alpha): a(k) = %r", ak)
+    return _stack(k, ak) / ak
 
 
 _PAIRS4 = tuple(combinations(range(4), 2))
@@ -339,23 +327,24 @@ def _pfaffian(a, b, c, d, e, f):
 
 
 def _inverse(w):
-    """(O, O^-1) for the 4 x 4 matrix O of w: O^-1 is the Pfaffian adjugate
-    over Pf, since O adj(O) = Pf I for an antisymmetric 4 x 4 O.
+    """(O, O^-1) as nested 4 x 4 lists for the matrix O of w: O^-1 is the
+    Pfaffian adjugate over Pf, since O adj(O) = Pf I for an antisymmetric
+    4 x 4 O.
 
     Raises SingularSystem where |Pf| is at most _SINGULAR |w|^2 (always
     |Pf| <= |w|^2 / 2, with |w| the norm of the six coefficients)."""
     a, b, c, d, e, f = six = _six(w)
     pf = _pfaffian(*six)
-    if not abs(pf) > _SINGULAR * sum(x * x for x in six):
-        raise SingularSystem("degenerate 2-form: Pf = %r" % pf)
-    O = np.array([[0.0, a, b, c], [-a, 0.0, d, e], [-b, -d, 0.0, f], [-c, -e, -f, 0.0]])
-    adj = np.array([[0.0, -f, e, -d], [f, 0.0, -c, b], [-e, c, 0.0, -a], [d, -b, a, 0.0]])
-    return O, adj / pf
+    _require(abs(pf) > _SINGULAR * sum(x * x for x in six), "degenerate 2-form: Pf = %r", pf)
+    O = [[0.0, a, b, c], [-a, 0.0, d, e], [-b, -d, 0.0, f], [-c, -e, -f, 0.0]]
+    adj = [[0.0, -f, e, -d], [f, 0.0, -c, b], [-e, c, 0.0, -a], [d, -b, a, 0.0]]
+    return O, [[x / pf for x in row] for row in adj]
 
 
 def liouville_vector(lam, w):
     """The X with i_X w = lam on a 4-chart: O^T X = lam, so X = -O^-1 lam."""
-    return -(_inverse(w)[1] @ one_form_vector(lam, 4))
+    lam = [lam.get((j,), 0.0) for j in range(4)]
+    return -_stack([_dot(row, lam) for row in _inverse(w)[1]])
 
 
 def solve_reeb(alpha, point, h=1e-5):
@@ -380,28 +369,32 @@ def omega_wedge_omega(lmbda, point, h=1e-5):
 
 
 def check_nondegenerate(lmbda, samples, h=1e-5):
-    """Min |omega ^ omega| coefficient over the sample set."""
-    return min((abs(omega_wedge_omega(lmbda, p, h)) for p in samples),
-               default=float("nan"))
+    """Min |omega ^ omega| coefficient over the sample set (an n x 4 array
+    or a list of points); nan when it is empty."""
+    pts = np.asarray(samples, dtype=float)
+    if not len(pts):
+        return float("nan")
+    return float(np.min(np.abs(omega_wedge_omega(lmbda, pts.T, h))))
 
 
 def frame_vectors(w, th, X):
     """symplectic_frame from the value w of omega and the vectors of theta
-    and X at one point; both solves use the one inverse of O."""
+    and X; both solves use the one inverse of O."""
     O, Oinv = _inverse(w)
-    e_s = np.array([1.0, 0.0, 0.0, 0.0])
     # omega(e_j, X_s) = (O X_s)_j = ds_j
-    X_s = Oinv[:, 0]
-    i_es_omega = O[0]               # (i_{d/ds} omega)(e_j) = omega(e_s, e_j)
-    th_corr = th - float(th @ X_s) * i_es_omega
-    X_th = Oinv @ th_corr
-    frame = np.array([e_s, X_s, X, X_th])
-    pairing = frame @ O @ frame.T
-    return frame, pairing, th_corr
+    X_s = [row[0] for row in Oinv]
+    t = _dot(th, X_s)
+    # (i_{d/ds} omega)(e_j) = omega(e_s, e_j) = O[0][j]
+    th_corr = [th[j] - t * O[0][j] for j in range(4)]
+    frame = [[1.0, 0.0, 0.0, 0.0], X_s, list(X), [_dot(row, th_corr) for row in Oinv]]
+    frame_O = [[_dot(row, col) for col in zip(*O)] for row in frame]
+    pairing = [[_dot(row, other) for other in frame] for row in frame_O]
+    return _matrix(frame), _matrix(pairing), _stack(th_corr)
 
 
 def symplectic_frame(lmbda, theta, X_field, point, h=1e-5):
-    """Frame {d/ds, X_s, X, X_theta} trivializing (TV, omega) at a point.
+    """Frame {d/ds, X_s, X, X_theta} trivializing (TV, omega) at a point
+    (or at each point of a sample).
 
     X_s solves omega(., X_s) = ds; theta is then corrected by
     theta -> theta - theta(X_s) * (i_{d/ds} omega), which kills theta(X_s)
@@ -415,41 +408,32 @@ def symplectic_frame(lmbda, theta, X_field, point, h=1e-5):
                          one_form_vector(theta.value(p), 4), X_field.value(p))
 
 
-def jacobian_fd(F, point, h=1e-6):
-    p = np.asarray(point, dtype=float)
-    cols = []
-    for axis in range(len(p)):
-        p1, p2 = p.copy(), p.copy()
-        p1[axis] += h
-        p2[axis] -= h
-        cols.append((np.asarray(F(p1), dtype=float) - np.asarray(F(p2), dtype=float)) / (2 * h))
-    return np.array(cols).T
+def pullback(F, form, point, jac):
+    """(F^* form) at a point (or sample) of the source chart: F maps it to
+    the target chart of `form`, and jac(point) is the Jacobian of F there."""
+    return pullback_value(form.value(F(point)), form.degree, jac(point))
 
 
-def pullback(F, form, point, jac=None, h=1e-6):
-    """(F^* form) at a point of the source chart.
-
-    F maps source points to the target chart of `form`; jac may supply an
-    analytic Jacobian function, else central differences are used."""
-    p = np.asarray(point, dtype=float)
-    J = np.asarray(jac(p), dtype=float) if jac is not None else jacobian_fd(F, p, h)
-    target_val = form.value(F(p))
-    rows = J.tolist()
-    terms = _leibniz(form.degree)
+def pullback_value(value, k, J):
+    """F^* of a k-form value taken at F(p), from the Jacobian J of F at p:
+    rows indexed by the target coordinates, entries floats or arrays."""
+    terms = _leibniz(k)
     out = {}
-    for src_idx in combinations(range(J.shape[1]), form.degree):
+    for src_idx in combinations(range(len(J[0])), k):
         total = 0.0
-        for tgt_idx, c in target_val.items():
-            if c == 0.0:
+        for tgt_idx, c in value.items():
+            if isinstance(c, float) and c == 0.0:  # never a sample array
                 continue
-            total += c * _minor(rows, tgt_idx, src_idx, terms)
+            total += c * _minor(J, tgt_idx, src_idx, terms)
         out[src_idx] = total
     return out
 
 
 def max_value_deviation(val1, val2):
+    """Max |val1 - val2| over the coefficients (and the points of a
+    sample)."""
     keys = set(val1) | set(val2)
-    return max(abs(val1.get(k, 0.0) - val2.get(k, 0.0)) for k in keys)
+    return max(max_abs(val1.get(k, 0.0) - val2.get(k, 0.0)) for k in keys)
 
 
 def fd_convergence_ratio(form, points, h=1e-3):

@@ -1,7 +1,8 @@
 """The closed-form contact/Liouville data of both domain families.
 
-Registered with analytic exterior derivatives so residuals measure
-transcription, not discretization; finite differences cross-validate.
+Registered with analytic exterior derivatives, and the maps between charts
+with closed-form Jacobians, so residuals measure transcription, not
+discretization; finite differences cross-validate.
 Coordinate order fixes index conventions per chart and is documented on
 each chart.
 """
@@ -20,12 +21,13 @@ from .calculus import (
     contact_volume,
     exterior_derivative,
     fd_convergence_ratio,
+    max_abs,
     max_value_deviation,
     pullback,
+    pullback_value,
     solve_liouville,
     solve_reeb,
     symplectic_frame,
-    zero_value,
 )
 
 # ---------------------------------------------------------------- charts
@@ -81,12 +83,12 @@ def _alpha_pm(sign):
     return DifferentialForm(
         TB3, 1,
         comps={
-            (0,): lambda p, s=sign: s * math.exp(p[2]),
-            (1,): lambda p: math.exp(-p[2]),
+            (0,): lambda p, s=sign: s * np.exp(p[2]),
+            (1,): lambda p: np.exp(-p[2]),
         },
         d_comps={
-            (0, 2): lambda p, s=sign: -s * math.exp(p[2]),
-            (1, 2): lambda p: math.exp(-p[2]),
+            (0, 2): lambda p, s=sign: -s * np.exp(p[2]),
+            (1, 2): lambda p: np.exp(-p[2]),
         },
         name="alpha_%s" % ("plus" if sign > 0 else "minus"),
     )
@@ -98,8 +100,8 @@ ALPHA_MINUS = _alpha_pm(-1)
 REEB_PLUS = VectorField(
     TB3,
     (
-        lambda p: 0.5 * math.exp(-p[2]),
-        lambda p: 0.5 * math.exp(p[2]),
+        lambda p: 0.5 * np.exp(-p[2]),
+        lambda p: 0.5 * np.exp(p[2]),
         lambda p: 0.0,
     ),
     name="R_plus",
@@ -108,8 +110,8 @@ REEB_PLUS = VectorField(
 REEB_MINUS = VectorField(
     TB3,
     (
-        lambda p: -0.5 * math.exp(-p[2]),
-        lambda p: 0.5 * math.exp(p[2]),
+        lambda p: -0.5 * np.exp(-p[2]),
+        lambda p: 0.5 * np.exp(p[2]),
         lambda p: 0.0,
     ),
     name="R_minus",
@@ -118,14 +120,14 @@ REEB_MINUS = VectorField(
 LAMBDA_TB = DifferentialForm(
     TB4, 1,
     comps={
-        (1,): lambda p: 2.0 * math.sinh(p[0]) * math.exp(p[3]),
-        (2,): lambda p: 2.0 * math.cosh(p[0]) * math.exp(-p[3]),
+        (1,): lambda p: 2.0 * np.sinh(p[0]) * np.exp(p[3]),
+        (2,): lambda p: 2.0 * np.cosh(p[0]) * np.exp(-p[3]),
     },
     d_comps={
-        (0, 1): lambda p: 2.0 * math.cosh(p[0]) * math.exp(p[3]),
-        (1, 3): lambda p: -2.0 * math.sinh(p[0]) * math.exp(p[3]),
-        (0, 2): lambda p: 2.0 * math.sinh(p[0]) * math.exp(-p[3]),
-        (2, 3): lambda p: 2.0 * math.cosh(p[0]) * math.exp(-p[3]),
+        (0, 1): lambda p: 2.0 * np.cosh(p[0]) * np.exp(p[3]),
+        (1, 3): lambda p: -2.0 * np.sinh(p[0]) * np.exp(p[3]),
+        (0, 2): lambda p: 2.0 * np.sinh(p[0]) * np.exp(-p[3]),
+        (2, 3): lambda p: 2.0 * np.cosh(p[0]) * np.exp(-p[3]),
     },
     name="lambda_torus_bundle",
 )
@@ -133,10 +135,10 @@ LAMBDA_TB = DifferentialForm(
 X0_TB = VectorField(
     TB4,
     (
-        lambda p: math.tanh(2 * p[0]),
+        lambda p: np.tanh(2 * p[0]),
         lambda p: 0.0,
         lambda p: 0.0,
-        lambda p: -1.0 / math.cosh(2 * p[0]),
+        lambda p: -1.0 / np.cosh(2 * p[0]),
     ),
     name="X0",
 )
@@ -154,13 +156,13 @@ LAMBDA_DS = DifferentialForm(TB4, 1, comps={(0,): lambda p: 1.0},
 ALPHA_CAN_FERMI = DifferentialForm(
     FERMI3, 1,
     comps={
-        (0,): lambda p: math.cos(p[2]),
-        (1,): lambda p: math.cosh(p[0]) * math.sin(p[2]),
+        (0,): lambda p: np.cos(p[2]),
+        (1,): lambda p: np.cosh(p[0]) * np.sin(p[2]),
     },
     d_comps={
-        (0, 1): lambda p: math.sinh(p[0]) * math.sin(p[2]),
-        (0, 2): lambda p: math.sin(p[2]),
-        (1, 2): lambda p: -math.cosh(p[0]) * math.cos(p[2]),
+        (0, 1): lambda p: np.sinh(p[0]) * np.sin(p[2]),
+        (0, 2): lambda p: np.sin(p[2]),
+        (1, 2): lambda p: -np.cosh(p[0]) * np.cos(p[2]),
     },
     name="alpha_can_fermi",
 )
@@ -168,10 +170,10 @@ ALPHA_CAN_FERMI = DifferentialForm(
 ALPHA_PRE_FERMI = DifferentialForm(
     FERMI3, 1,
     comps={
-        (1,): lambda p: math.sinh(p[0]),
+        (1,): lambda p: np.sinh(p[0]),
         (2,): lambda p: 1.0,
     },
-    d_comps={(0, 1): lambda p: math.cosh(p[0])},
+    d_comps={(0, 1): lambda p: np.cosh(p[0])},
     name="alpha_pre_fermi",
 )
 
@@ -182,9 +184,9 @@ REEB_PRE_FERMI = VectorField(
 REEB_CAN_FERMI = VectorField(
     FERMI3,
     (
-        lambda p: math.cos(p[2]),
-        lambda p: math.sin(p[2]) / math.cosh(p[0]),
-        lambda p: -math.tanh(p[0]) * math.sin(p[2]),
+        lambda p: np.cos(p[2]),
+        lambda p: np.sin(p[2]) / np.cosh(p[0]),
+        lambda p: -np.tanh(p[0]) * np.sin(p[2]),
     ),
     name="R_can",
 )
@@ -194,9 +196,9 @@ REEB_CAN_FERMI = VectorField(
 ANOSOV_FERMI = VectorField(
     FERMI3,
     (
-        lambda p: -math.sin(p[2]),
-        lambda p: math.cos(p[2]) / math.cosh(p[0]),
-        lambda p: -math.tanh(p[0]) * math.cos(p[2]),
+        lambda p: -np.sin(p[2]),
+        lambda p: np.cos(p[2]) / np.cosh(p[0]),
+        lambda p: -np.tanh(p[0]) * np.cos(p[2]),
     ),
     name="X_anosov_fermi",
 )
@@ -204,20 +206,20 @@ ANOSOV_FERMI = VectorField(
 LAMBDA_MCDUFF = DifferentialForm(
     MCDUFF4, 1,
     comps={
-        (1,): lambda p: math.exp(p[0]) * math.cos(p[3]),
-        (2,): lambda p: math.exp(-p[0]) * math.sinh(p[1])
-        + math.exp(p[0]) * math.cosh(p[1]) * math.sin(p[3]),
-        (3,): lambda p: math.exp(-p[0]),
+        (1,): lambda p: np.exp(p[0]) * np.cos(p[3]),
+        (2,): lambda p: np.exp(-p[0]) * np.sinh(p[1])
+        + np.exp(p[0]) * np.cosh(p[1]) * np.sin(p[3]),
+        (3,): lambda p: np.exp(-p[0]),
     },
     d_comps={
-        (0, 1): lambda p: math.exp(p[0]) * math.cos(p[3]),
-        (1, 3): lambda p: math.exp(p[0]) * math.sin(p[3]),
-        (0, 2): lambda p: -math.exp(-p[0]) * math.sinh(p[1])
-        + math.exp(p[0]) * math.cosh(p[1]) * math.sin(p[3]),
-        (1, 2): lambda p: math.exp(-p[0]) * math.cosh(p[1])
-        + math.exp(p[0]) * math.sinh(p[1]) * math.sin(p[3]),
-        (2, 3): lambda p: -math.exp(p[0]) * math.cosh(p[1]) * math.cos(p[3]),
-        (0, 3): lambda p: -math.exp(-p[0]),
+        (0, 1): lambda p: np.exp(p[0]) * np.cos(p[3]),
+        (1, 3): lambda p: np.exp(p[0]) * np.sin(p[3]),
+        (0, 2): lambda p: -np.exp(-p[0]) * np.sinh(p[1])
+        + np.exp(p[0]) * np.cosh(p[1]) * np.sin(p[3]),
+        (1, 2): lambda p: np.exp(-p[0]) * np.cosh(p[1])
+        + np.exp(p[0]) * np.sinh(p[1]) * np.sin(p[3]),
+        (2, 3): lambda p: -np.exp(p[0]) * np.cosh(p[1]) * np.cos(p[3]),
+        (0, 3): lambda p: -np.exp(-p[0]),
     },
     name="lambda_mcduff",
 )
@@ -225,10 +227,10 @@ LAMBDA_MCDUFF = DifferentialForm(
 X_LAMBDA_MCDUFF = VectorField(
     MCDUFF4,
     (
-        lambda p: math.tanh(2 * p[0]),
-        lambda p: math.sin(p[3]) / math.cosh(2 * p[0]),
-        lambda p: -math.cos(p[3]) / (math.cosh(2 * p[0]) * math.cosh(p[1])),
-        lambda p: math.tanh(p[1]) * math.cos(p[3]) / math.cosh(2 * p[0]),
+        lambda p: np.tanh(2 * p[0]),
+        lambda p: np.sin(p[3]) / np.cosh(2 * p[0]),
+        lambda p: -np.cos(p[3]) / (np.cosh(2 * p[0]) * np.cosh(p[1])),
+        lambda p: np.tanh(p[1]) * np.cos(p[3]) / np.cosh(2 * p[0]),
     ),
     name="X_lambda",
 )
@@ -242,20 +244,20 @@ def lambda_deformation(tau):
     return DifferentialForm(
         MCDUFFRAD, 1,
         comps={
-            (1,): lambda p: p[0] * math.cos(p[3]),
-            (2,): lambda p: p[0] * math.cosh(p[1]) * math.sin(p[3])
-            + w(p) * math.sinh(p[1]),
+            (1,): lambda p: p[0] * np.cos(p[3]),
+            (2,): lambda p: p[0] * np.cosh(p[1]) * np.sin(p[3])
+            + w(p) * np.sinh(p[1]),
             (3,): lambda p: w(p),
         },
         d_comps={
-            (0, 1): lambda p: math.cos(p[3]),
-            (0, 2): lambda p: math.cosh(p[1]) * math.sin(p[3])
-            - tau / p[0] ** 2 * math.sinh(p[1]),
+            (0, 1): lambda p: np.cos(p[3]),
+            (0, 2): lambda p: np.cosh(p[1]) * np.sin(p[3])
+            - tau / p[0] ** 2 * np.sinh(p[1]),
             (0, 3): lambda p: -tau / p[0] ** 2,
-            (1, 3): lambda p: p[0] * math.sin(p[3]),
-            (1, 2): lambda p: p[0] * math.sinh(p[1]) * math.sin(p[3])
-            + w(p) * math.cosh(p[1]),
-            (2, 3): lambda p: -p[0] * math.cosh(p[1]) * math.cos(p[3]),
+            (1, 3): lambda p: p[0] * np.sin(p[3]),
+            (1, 2): lambda p: p[0] * np.sinh(p[1]) * np.sin(p[3])
+            + w(p) * np.cosh(p[1]),
+            (2, 3): lambda p: -p[0] * np.cosh(p[1]) * np.cos(p[3]),
         },
         name="lambda_tau_%g" % tau,
     )
@@ -270,14 +272,14 @@ LAMBDA_C = DifferentialForm(
     GEODNBHD4, 1,
     comps={
         (0,): lambda p: p[2],
-        (1,): lambda p: math.cosh(p[0]) * p[3] + math.sinh(p[0]),
+        (1,): lambda p: np.cosh(p[0]) * p[3] + np.sinh(p[0]),
         (2,): lambda p: -p[3] / (p[2] ** 2 + p[3] ** 2),
         (3,): lambda p: p[2] / (p[2] ** 2 + p[3] ** 2),
     },
     d_comps={
-        (0, 1): lambda p: math.sinh(p[0]) * p[3] + math.cosh(p[0]),
+        (0, 1): lambda p: np.sinh(p[0]) * p[3] + np.cosh(p[0]),
         (0, 2): lambda p: -1.0,
-        (1, 3): lambda p: -math.cosh(p[0]),
+        (1, 3): lambda p: -np.cosh(p[0]),
     },
     name="lambda_C",
 )
@@ -288,13 +290,13 @@ LAMBDA_C = DifferentialForm(
 ALPHA_CAN_H = DifferentialForm(
     HALFPLANE3, 1,
     comps={
-        (0,): lambda p: math.cos(p[2]) / p[1],
-        (1,): lambda p: math.sin(p[2]) / p[1],
+        (0,): lambda p: np.cos(p[2]) / p[1],
+        (1,): lambda p: np.sin(p[2]) / p[1],
     },
     d_comps={
-        (0, 1): lambda p: math.cos(p[2]) / p[1] ** 2,
-        (0, 2): lambda p: math.sin(p[2]) / p[1],
-        (1, 2): lambda p: -math.cos(p[2]) / p[1],
+        (0, 1): lambda p: np.cos(p[2]) / p[1] ** 2,
+        (0, 2): lambda p: np.sin(p[2]) / p[1],
+        (1, 2): lambda p: -np.cos(p[2]) / p[1],
     },
     name="alpha_can_halfplane",
 )
@@ -314,11 +316,20 @@ def fermi_to_halfplane_point(p):
     r, t, theta = p
     return np.array(
         [
-            math.tanh(r) * math.exp(t),
-            math.exp(t) / math.cosh(r),
-            theta - math.atan(math.sinh(r)),
+            np.tanh(r) * np.exp(t),
+            np.exp(t) / np.cosh(r),
+            theta - np.atan(np.sinh(r)),
         ]
     )
+
+
+def fermi_to_halfplane_jac(p):
+    """Rows d(x, y, phi) / d(r, t, theta) of fermi_to_halfplane_point; the
+    angle uses d atan(sinh r) / dr = 1 / cosh r."""
+    r, t, theta = p
+    et, sech = np.exp(t), 1.0 / np.cosh(r)
+    x, y = np.tanh(r) * et, et * sech
+    return [[y * sech, x, 0.0], [-x * sech, y, 0.0], [-sech, 0.0, 1.0]]
 
 
 def t_tau_action(tau):
@@ -334,14 +345,14 @@ def s_action_fermi(p):
 LAMBDA_COVER_V1 = DifferentialForm(
     COVER4, 1,
     comps={
-        (1,): lambda p: math.sinh(p[0]) * math.exp(p[3]),
-        (2,): lambda p: math.cosh(p[0]) * math.exp(-p[3]),
+        (1,): lambda p: np.sinh(p[0]) * np.exp(p[3]),
+        (2,): lambda p: np.cosh(p[0]) * np.exp(-p[3]),
     },
     d_comps={
-        (0, 1): lambda p: math.cosh(p[0]) * math.exp(p[3]),
-        (1, 3): lambda p: -math.sinh(p[0]) * math.exp(p[3]),
-        (0, 2): lambda p: math.sinh(p[0]) * math.exp(-p[3]),
-        (2, 3): lambda p: math.cosh(p[0]) * math.exp(-p[3]),
+        (0, 1): lambda p: np.cosh(p[0]) * np.exp(p[3]),
+        (1, 3): lambda p: -np.sinh(p[0]) * np.exp(p[3]),
+        (0, 2): lambda p: np.sinh(p[0]) * np.exp(-p[3]),
+        (2, 3): lambda p: np.cosh(p[0]) * np.exp(-p[3]),
     },
     name="lambda_cover_v1",
 )
@@ -349,8 +360,8 @@ LAMBDA_COVER_V1 = DifferentialForm(
 LAMBDA_COVER_V2 = DifferentialForm(
     COVER4, 1,
     comps={
-        (1,): lambda p: math.sinh(p[0]) * math.exp(-p[3]),
-        (2,): lambda p: math.cosh(p[0]) * math.exp(p[3]),
+        (1,): lambda p: np.sinh(p[0]) * np.exp(-p[3]),
+        (2,): lambda p: np.cosh(p[0]) * np.exp(p[3]),
     },
     name="lambda_cover_v2",
 )
@@ -368,44 +379,60 @@ LAMBDA_CAN_T2 = DifferentialForm(
 def theta_trivialization(p):
     """Fiber trivialization of the V' cover: (s,x,y,z) -> (s, D_z^{-1}(x,y), z)."""
     s, x, y, z = p
-    return np.array([s, math.exp(-z) * x, math.exp(z) * y, z])
+    return np.array([s, np.exp(-z) * x, np.exp(z) * y, z])
+
+
+def theta_trivialization_jac(p):
+    """Rows of d(theta_trivialization) / d(s, x, y, z)."""
+    s, x, y, z = p
+    em, ep = np.exp(-z), np.exp(z)
+    return [[1.0, 0.0, 0.0, 0.0], [0.0, em, 0.0, -em * x],
+            [0.0, 0.0, ep, ep * y], [0.0, 0.0, 0.0, 1.0]]
 
 
 def psi0_map(p):
     """(s,x,y,z) -> (x, y, a, b) with (a,b) = (sinh s e^{-z}, cosh s e^{z})."""
     s, x, y, z = p
-    return np.array([x, y, math.sinh(s) * math.exp(-z),
-                     math.cosh(s) * math.exp(z)])
+    return np.array([x, y, np.sinh(s) * np.exp(-z),
+                     np.cosh(s) * np.exp(z)])
+
+
+def psi0_jac(p):
+    """Rows of d(psi0_map) / d(s, x, y, z)."""
+    s, x, y, z = p
+    a, b = np.sinh(s) * np.exp(-z), np.cosh(s) * np.exp(z)
+    return [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+            [np.cosh(s) * np.exp(-z), 0.0, 0.0, -a],
+            [np.sinh(s) * np.exp(z), 0.0, 0.0, b]]
 
 
 # ------------------------------------------------------------- suites
+# Each suite draws its n x d sample `pts` and evaluates every per-sample
+# check once on the whole sample `pts.T`; the finite-difference checks
+# (fd-ratio, d2) take their few points one at a time.
 
 def _check(name, value, tol):
     return {"check": name, "max_residual": float(value), "pass": bool(value <= tol)}
 
 
 def check_geiges(alpha_minus, alpha_plus, samples, h=1e-5):
-    """Geiges-pair identities on a 3-chart, plus a sign report."""
+    """Geiges-pair identities on a 3-chart over a sample (n x 3), plus a
+    sign report."""
     if alpha_minus.chart.dim != 3:
         raise ValueError("Geiges check needs a 3-dimensional chart")
-    worst_sum = worst_mixed = 0.0
-    signs = set()
-    for p in samples:
-        vp = alpha_plus.value(p)
-        vm = alpha_minus.value(p)
-        dp = exterior_derivative(alpha_plus, p, h)
-        dm = exterior_derivative(alpha_minus, p, h)
-        pp = contact_volume(vp, dp)
-        mm = contact_volume(vm, dm)
-        worst_sum = max(worst_sum, abs(pp + mm))
-        signs.add(math.copysign(1.0, pp))
-        worst_mixed = max(worst_mixed, abs(contact_volume(vm, dp)))
-        worst_mixed = max(worst_mixed, abs(contact_volume(vp, dm)))
+    p = np.asarray(samples, dtype=float).T
+    vp, vm = alpha_plus.value(p), alpha_minus.value(p)
+    dp = exterior_derivative(alpha_plus, p, h)
+    dm = exterior_derivative(alpha_minus, p, h)
+    pp = contact_volume(vp, dp)
+    signs = np.copysign(1.0, pp)
+    constant = bool(signs.min() == signs.max())
     return {
-        "sum_residual": worst_sum,
-        "mixed_residual": worst_mixed,
-        "volume_sign_constant": len(signs) == 1,
-        "volume_sign": signs.pop() if len(signs) == 1 else 0.0,
+        "sum_residual": max_abs(pp + contact_volume(vm, dm)),
+        "mixed_residual": max(max_abs(contact_volume(vm, dp)),
+                              max_abs(contact_volume(vp, dm))),
+        "volume_sign_constant": constant,
+        "volume_sign": float(signs.max()) if constant else 0.0,
     }
 
 
@@ -423,7 +450,8 @@ def run_suite(suite, samples=1000, tol=1e-8, seed=7):
 
 
 def psl2_invariance(form, element, samples, tau=1.0):
-    """Max |g^* form - form| for a generator of PSL(2, R).
+    """Max |g^* form - form| over a sample (n x 3) for a generator of
+    PSL(2, R).
 
     element: "T" (horizontal translation by tau; half-plane charts),
     "S" (the order-two rotation; Fermi charts), or "identity".  The chart
@@ -435,22 +463,18 @@ def psl2_invariance(form, element, samples, tau=1.0):
         act = s_action_fermi
         jac = lambda p: np.diag([-1.0, -1.0, 1.0])
     elif element == "identity":
-        act = lambda p: np.asarray(p, dtype=float)
+        act = lambda p: p
         jac = lambda p: np.eye(3)
     else:
         raise ValueError("element must be 'T', 'S' or 'identity'")
-    worst = 0.0
-    for p in samples:
-        worst = max(
-            worst,
-            max_value_deviation(pullback(act, form, p, jac=jac), form.value(p)),
-        )
-    return worst
+    p = np.asarray(samples, dtype=float).T
+    return max_value_deviation(pullback(act, form, p, jac), form.value(p))
 
 
 def _suite_torus_bundle(samples, tol, seed):
     checks = []
     pts3 = TB3.sample_points(samples, seed, margin=1e-4)
+    p3 = pts3.T
     g = check_geiges(ALPHA_MINUS, ALPHA_PLUS, pts3)
     checks.append(_check("tb.geiges.sum", g["sum_residual"], tol))
     checks.append(_check("tb.geiges.mixed", g["mixed_residual"], tol))
@@ -458,21 +482,15 @@ def _suite_torus_bundle(samples, tol, seed):
         {"check": "tb.geiges.sign", "max_residual": 0.0,
          "pass": g["volume_sign_constant"] and g["volume_sign"] > 0}
     )
-    worst_p = worst_m = 0.0
-    for p in pts3:
-        worst_p = max(worst_p, float(np.max(np.abs(
-            solve_reeb(ALPHA_PLUS, p) - REEB_PLUS.value(p)))))
-        worst_m = max(worst_m, float(np.max(np.abs(
-            solve_reeb(ALPHA_MINUS, p) - REEB_MINUS.value(p)))))
-    checks.append(_check("tb.reeb.plus", worst_p, tol))
-    checks.append(_check("tb.reeb.minus", worst_m, tol))
+    checks.append(_check("tb.reeb.plus", max_abs(
+        solve_reeb(ALPHA_PLUS, p3) - REEB_PLUS.value(p3)), tol))
+    checks.append(_check("tb.reeb.minus", max_abs(
+        solve_reeb(ALPHA_MINUS, p3) - REEB_MINUS.value(p3)), tol))
 
     pts4 = TB4.sample_points(samples, seed + 1, margin=1e-4)
-    worst_x = 0.0
-    for p in pts4:
-        worst_x = max(worst_x, float(np.max(np.abs(
-            solve_liouville(LAMBDA_TB, p) - X0_TB.value(p)))))
-    checks.append(_check("tb.liouville.X0", worst_x, tol))
+    p4 = pts4.T
+    checks.append(_check("tb.liouville.X0", max_abs(
+        solve_liouville(LAMBDA_TB, p4) - X0_TB.value(p4)), tol))
     checks.append(
         {"check": "tb.nondegenerate", "max_residual": 0.0,
          "pass": check_nondegenerate(LAMBDA_TB, pts4) > 1e-6}
@@ -482,16 +500,12 @@ def _suite_torus_bundle(samples, tol, seed):
          "pass": check_nondegenerate(LAMBDA_DS, pts4[:50]) < 1e-12}
     )
 
-    worst_frame = 0.0
-    for p in pts4[:100]:
-        frame, pairing, th_corr = symplectic_frame(
-            LAMBDA_TB, THETA_TB, ANOSOV_TB, p
-        )
-        worst_frame = max(worst_frame, abs(pairing[0, 1] - 1.0))
-        worst_frame = max(worst_frame, abs(pairing[2, 3] - 1.0))
-        worst_frame = max(worst_frame, abs(float(th_corr @ frame[1])))
-        if abs(np.linalg.det(pairing)) < 1e-10:
-            worst_frame = float("inf")
+    frame, pairing, th_corr = symplectic_frame(LAMBDA_TB, THETA_TB, ANOSOV_TB,
+                                               pts4[:100].T)
+    worst_frame = max(max_abs(pairing[0, 1] - 1.0), max_abs(pairing[2, 3] - 1.0),
+                      max_abs(sum(th_corr * frame[1])))
+    if np.any(np.abs(np.linalg.det(np.moveaxis(pairing, -1, 0))) < 1e-10):
+        worst_frame = float("inf")
     checks.append(_check("tb.frame", worst_frame, tol))
 
     ratio = fd_convergence_ratio(LAMBDA_TB, _inner(LAMBDA_TB, pts4, 1e-3, 25))
@@ -509,6 +523,7 @@ def _suite_torus_bundle(samples, tol, seed):
 def _suite_mcduff_fermi(samples, tol, seed):
     checks = []
     pts3 = FERMI3.sample_points(samples, seed, margin=1e-4)
+    p3 = pts3.T
     g = check_geiges(ALPHA_PRE_FERMI, ALPHA_CAN_FERMI, pts3)
     checks.append(_check("fermi.geiges.sum", g["sum_residual"], tol))
     checks.append(_check("fermi.geiges.mixed", g["mixed_residual"], tol))
@@ -516,21 +531,15 @@ def _suite_mcduff_fermi(samples, tol, seed):
         {"check": "fermi.geiges.sign", "max_residual": 0.0,
          "pass": g["volume_sign_constant"]}
     )
-    worst_pre = worst_can = 0.0
-    for p in pts3:
-        worst_pre = max(worst_pre, float(np.max(np.abs(
-            solve_reeb(ALPHA_PRE_FERMI, p) - REEB_PRE_FERMI.value(p)))))
-        worst_can = max(worst_can, float(np.max(np.abs(
-            solve_reeb(ALPHA_CAN_FERMI, p) - REEB_CAN_FERMI.value(p)))))
-    checks.append(_check("fermi.reeb.pre", worst_pre, tol))
-    checks.append(_check("fermi.reeb.can", worst_can, tol))
+    checks.append(_check("fermi.reeb.pre", max_abs(
+        solve_reeb(ALPHA_PRE_FERMI, p3) - REEB_PRE_FERMI.value(p3)), tol))
+    checks.append(_check("fermi.reeb.can", max_abs(
+        solve_reeb(ALPHA_CAN_FERMI, p3) - REEB_CAN_FERMI.value(p3)), tol))
 
     pts4 = MCDUFF4.sample_points(samples, seed + 1, margin=1e-4)
-    worst_x = 0.0
-    for p in pts4:
-        worst_x = max(worst_x, float(np.max(np.abs(
-            solve_liouville(LAMBDA_MCDUFF, p) - X_LAMBDA_MCDUFF.value(p)))))
-    checks.append(_check("mcduff.liouville.X", worst_x, tol))
+    p4 = pts4.T
+    checks.append(_check("mcduff.liouville.X", max_abs(
+        solve_liouville(LAMBDA_MCDUFF, p4) - X_LAMBDA_MCDUFF.value(p4)), tol))
 
     rad = MCDUFFRAD.sample_points(samples, seed + 2, margin=1e-4)
     for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -563,17 +572,15 @@ def _suite_mcduff_fermi(samples, tol, seed):
 
 def _suite_mcduff_halfplane(samples, tol, seed):
     checks = []
-    pts3 = FERMI3.sample_points(samples, seed, margin=1e-4)
+    p3 = FERMI3.sample_points(samples, seed, margin=1e-4).T
 
-    res_pre = 0.0
-    res_can = 0.0
-    for p in pts3:
-        pull = pullback(fermi_to_halfplane_point, ALPHA_PRE_H, p)
-        res_pre = max(res_pre, max_value_deviation(pull, ALPHA_PRE_FERMI.value(p)))
-        pull = pullback(fermi_to_halfplane_point, ALPHA_CAN_H, p)
-        res_can = max(res_can, max_value_deviation(pull, ALPHA_CAN_FERMI.value(p)))
-    checks.append(_check("halfplane.pullback.pre", res_pre, tol))
-    checks.append(_check("halfplane.pullback.can", res_can, tol))
+    # one image and one Jacobian serve both forms
+    img, J = fermi_to_halfplane_point(p3), fermi_to_halfplane_jac(p3)
+    for name, form, fermi in (("pre", ALPHA_PRE_H, ALPHA_PRE_FERMI),
+                              ("can", ALPHA_CAN_H, ALPHA_CAN_FERMI)):
+        pull = pullback_value(form.value(img), 1, J)
+        checks.append(_check("halfplane.pullback." + name,
+                             max_value_deviation(pull, fermi.value(p3)), tol))
 
     ptsh = HALFPLANE3.sample_points(samples, seed + 1, margin=1e-4)
     for tau, label in ((0.7, "0.7"), (-1.3, "-1.3")):
@@ -583,7 +590,7 @@ def _suite_mcduff_halfplane(samples, tol, seed):
         )
         checks.append(_check("halfplane.Ttau[%s]" % label, worst, tol))
     worst_s = max(
-        psl2_invariance(f, "S", pts3)
+        psl2_invariance(f, "S", p3.T)
         for f in (ALPHA_PRE_FERMI, ALPHA_CAN_FERMI)
     )
     checks.append(_check("fermi.S-action", worst_s, tol))
@@ -594,64 +601,41 @@ def _suite_mcduff_halfplane(samples, tol, seed):
 
 def _suite_covers(samples, tol, seed):
     checks = []
-    pts = COVER4.sample_points(samples, seed, margin=1e-3)
+    p = COVER4.sample_points(samples, seed, margin=1e-3).T
+    s, x, y, z = p
+    sh, ch = np.sinh(s), np.cosh(s)
 
     # V' cover: pullback of lambda' under the fiber trivialization
-    def v1_target(p):
-        s, x, y, z = p
-        out = zero_value(4, 1)
-        out[(1,)] = math.sinh(s)
-        out[(2,)] = math.cosh(s)
-        out[(3,)] = -(math.sinh(s) * x - math.cosh(s) * y)
-        return out
-
-    res = max(
-        max_value_deviation(
-            pullback(theta_trivialization, LAMBDA_COVER_V1, p), v1_target(p)
-        )
-        for p in pts
-    )
-    checks.append(_check("covers.v1.trivialization", res, tol))
+    pull = pullback(theta_trivialization, LAMBDA_COVER_V1, p,
+                    theta_trivialization_jac)
+    v1_target = {(0,): 0.0, (1,): sh, (2,): ch, (3,): -(sh * x - ch * y)}
+    checks.append(_check("covers.v1.trivialization",
+                         max_value_deviation(pull, v1_target), tol))
 
     # after the (a, b) change of frame the non-exact part is a dz + b ds
-    def df_target(p):
-        s, x, y, z = p
-        out = zero_value(4, 1)
-        out[(0,)] = math.cosh(s) * x + math.sinh(s) * y
-        out[(1,)] = math.sinh(s)
-        out[(2,)] = math.cosh(s)
-        return out
-
-    res2 = 0.0
-    for p in pts:
-        s, x, y, z = p
-        pull = pullback(theta_trivialization, LAMBDA_COVER_V1, p)
-        a = -math.sinh(s) * x + math.cosh(s) * y
-        b = -(math.cosh(s) * x + math.sinh(s) * y)
-        pull[(0,)] = pull.get((0,), 0.0) - b
-        pull[(3,)] = pull.get((3,), 0.0) - a
-        res2 = max(res2, max_value_deviation(pull, df_target(p)))
-    checks.append(_check("covers.v1.exact-primitive", res2, tol))
+    a = -sh * x + ch * y
+    b = -(ch * x + sh * y)
+    shifted = dict(pull)
+    shifted[(0,)] = pull[(0,)] - b
+    shifted[(3,)] = pull[(3,)] - a
+    df_target = {(0,): ch * x + sh * y, (1,): sh, (2,): ch, (3,): 0.0}
+    checks.append(_check("covers.v1.exact-primitive",
+                         max_value_deviation(shifted, df_target), tol))
 
     # V'' cover: psi0 carries a dx + b dy back to lambda''
-    res3 = max(
-        max_value_deviation(
-            pullback(psi0_map, LAMBDA_CAN_T2, p), LAMBDA_COVER_V2.value(p)
-        )
-        for p in pts
-    )
+    res3 = max_value_deviation(pullback(psi0_map, LAMBDA_CAN_T2, p, psi0_jac),
+                               LAMBDA_COVER_V2.value(p))
     checks.append(_check("covers.v2.psi0", res3, tol))
 
     # image avoids the zero section: b = cosh(s) e^z >= e^{-1} on the box
-    min_b = min(psi0_map(p)[3] for p in pts)
+    min_b = float(np.min(psi0_map(p)[3]))
     checks.append(
         {"check": "covers.v2.off-zero-section", "max_residual": 0.0,
          "pass": min_b > 0.3}
     )
     # spot value: s = 0 maps to (0, e^z)
-    p0 = np.array([0.0, 0.2, 0.3, 0.5])
-    img = psi0_map(p0)
-    spot = abs(img[2] - 0.0) + abs(img[3] - math.exp(0.5))
+    img = psi0_map(np.array([0.0, 0.2, 0.3, 0.5]))
+    spot = abs(img[2] - 0.0) + abs(img[3] - np.exp(0.5))
     checks.append(_check("covers.v2.s0-image", spot, 1e-12))
     return checks
 
@@ -659,12 +643,11 @@ def _suite_covers(samples, tol, seed):
 def _inner(form, points, margin, count):
     """The first `count` points `margin` inside the form's box: one
     difference step (fd_convergence_ratio) or two (_d2_residual)."""
-    return [p for p in points if form.chart.contains(p, margin=margin)][:count]
+    return points[form.chart.contains(points.T, margin=margin)][:count]
 
 
 def _d2_residual(form, points, h=1e-4):
     """max |d(d form)| via nested numeric derivatives."""
-    dim = form.chart.dim
     worst = 0.0
     for p in points:
         dform = DifferentialForm(

@@ -508,16 +508,31 @@ def stadium_weighted_area_direct(seg_length, h):
 
 # ------------------------------------------------- forms by determinants
 
-def pullback_det(F, form, point, jac=None, h=1e-6):
+def jacobian_fd(F, point, h=1e-6):
+    """The Jacobian of F at a point by O(h^2) central differences: the
+    reference for the closed-form Jacobians of the forms library."""
+    import numpy as np
+
+    p = np.asarray(point, dtype=float)
+    cols = []
+    for axis in range(len(p)):
+        p1, p2 = p.copy(), p.copy()
+        p1[axis] += h
+        p2[axis] -= h
+        cols.append((np.asarray(F(p1), dtype=float) - np.asarray(F(p2), dtype=float)) / (2 * h))
+    return np.array(cols).T
+
+
+def pullback_det(F, form, point, jac):
     """(F^* form) at a point, each minor by np.linalg.det."""
     from itertools import combinations
 
     import numpy as np
 
-    from .forms.calculus import jacobian_fd, zero_value
+    from .forms.calculus import zero_value
 
     p = np.asarray(point, dtype=float)
-    J = np.asarray(jac(p), dtype=float) if jac is not None else jacobian_fd(F, p, h)
+    J = np.asarray(jac(p), dtype=float)
     target_val = form.value(F(p))
     k = form.degree
     n_src = J.shape[1]

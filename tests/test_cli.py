@@ -12,6 +12,7 @@ from anosovlab.cli import (
     COMMANDS,
     KMAX_LIMIT,
     POINTS_LIMIT,
+    SAMPLES_LIMIT,
     TRIANGLE_K_LIMIT,
     emit,
     main,
@@ -180,6 +181,20 @@ def test_huge_point_counts_are_rejected_before_any_work(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count(
         "asks for more than %d periodic points" % POINTS_LIMIT) == 6
+
+
+def test_forms_samples_limit_is_checked_at_parse_time(capsys):
+    # forms check holds its whole sample in memory: the bound is checked
+    # when the flag is parsed, before any sample is drawn
+    parser = cli.build_parser(command="forms")
+    argv = ["forms", "check", "--samples"]
+    assert parser.parse_args(argv + [str(SAMPLES_LIMIT)]).samples == SAMPLES_LIMIT
+    for bad in (SAMPLES_LIMIT + 1, 10**12, 0):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [str(bad)])
+        assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: argument --samples") == 3
 
 
 def test_point_limit_is_exact(monkeypatch):

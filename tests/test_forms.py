@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anosovlab
@@ -37,9 +37,10 @@ from anosovlab.forms.calculus import (
     omega_wedge_omega,
     one_form_vector,
     reeb_vector,
-    scrambled_halton,
     two_form_matrix,
 )
+from anosovlab.forms import library as lib
+from anosovlab.forms.halton import _PCG64, scrambled_halton
 from anosovlab.forms.library import (
     ALPHA_CAN_FERMI,
     ALPHA_PLUS,
@@ -54,6 +55,7 @@ from anosovlab.forms.library import (
     THETA_TB,
     X0_TB,
     X_LAMBDA_MCDUFF,
+    fermi_to_halfplane_jac,
     fermi_to_halfplane_point,
     psi0_map,
     ALPHA_PRE_H,
@@ -162,8 +164,8 @@ def test_frame_relations():
 
 def test_pullback_fermi_halfplane():
     p = np.array([0.4, -0.2, 1.3])
-    pull = pullback(fermi_to_halfplane_point, ALPHA_PRE_H, p)
-    assert max_value_deviation(pull, ALPHA_PRE_FERMI.value(p)) < 1e-8
+    pull = pullback(fermi_to_halfplane_point, ALPHA_PRE_H, p, fermi_to_halfplane_jac)
+    assert max_value_deviation(pull, ALPHA_PRE_FERMI.value(p)) < 1e-14
 
 
 def test_psi0_spot_values():
@@ -474,6 +476,107 @@ def test_scrambled_halton_matches_qmc_bytes(d):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 3**100])
+def test_pcg64_port_matches_numpy_random(seed):
+    # the Halton tables stay bit-identical only if every draw does
+    ours, ref = _PCG64(seed), np.random.PCG64(seed)
+    assert [ours.next64() for _ in range(8)] == [ref.random_raw() for _ in range(8)]
+    ours, ref = _PCG64(seed), np.random.default_rng(seed)
+    for base in range(1, 14):
+        for _ in range(5):
+            perm = np.arange(base)
+            ref.shuffle(perm)
+            mine = list(range(base))
+            ours.shuffle(mine)
+            assert mine == perm.tolist()
+
+
+# ------------------------------------------- Jacobians and whole samples
+
+_MAPS = [  # (source chart, map, its closed-form Jacobian)
+    (lib.FERMI3, fermi_to_halfplane_point, fermi_to_halfplane_jac),
+    (lib.COVER4, lib.theta_trivialization, lib.theta_trivialization_jac),
+    (lib.COVER4, psi0_map, lib.psi0_jac),
+]
+
+
+@pytest.mark.parametrize("chart, F, jac", _MAPS, ids=["fermi", "theta", "psi0"])
+def test_closed_form_jacobians_match_central_differences(chart, F, jac):
+    # the central-difference error is O(h^2): halving h quarters it
+    for p in chart.sample_points(20, 3, margin=0.1):
+        J = np.array(jac(p))
+        errs = [np.max(np.abs(oracles.jacobian_fd(F, p, h) - J)) for h in (2e-3, 1e-3)]
+        assert errs[0] < 1e-4 and 3.0 < errs[0] / errs[1] < 5.0
+        assert np.max(np.abs(oracles.jacobian_fd(F, p) - J)) < 1e-8
+
+
+_tau = lib.lambda_deformation(0.5)
+_SAMPLED = [  # (chart, a per-sample quantity at a point or at a whole sample)
+    (lib.TB3, lambda p: (ALPHA_PLUS.value(p), exterior_derivative(ALPHA_PLUS, p),
+                         lib.REEB_MINUS.value(p))),
+    (lib.TB3, lambda p: (solve_reeb(ALPHA_PLUS, p), solve_reeb(lib.ALPHA_MINUS, p))),
+    (lib.FERMI3, lambda p: (solve_reeb(ALPHA_CAN_FERMI, p), solve_reeb(ALPHA_PRE_FERMI, p),
+                            REEB_CAN_FERMI.value(p), lib.ANOSOV_FERMI.value(p))),
+    (TB4, lambda p: (solve_liouville(LAMBDA_TB, p), X0_TB.value(p),
+                     omega_wedge_omega(LAMBDA_TB, p))),
+    (TB4, lambda p: symplectic_frame(LAMBDA_TB, THETA_TB, ANOSOV_TB, p)),
+    (lib.MCDUFF4, lambda p: (solve_liouville(LAMBDA_MCDUFF, p), X_LAMBDA_MCDUFF.value(p),
+                             omega_wedge_omega(LAMBDA_MCDUFF, p))),
+    (lib.MCDUFFRAD, lambda p: (_tau.value(p), omega_wedge_omega(_tau, p))),
+    (lib.GEODNBHD4, lambda p: (lib.LAMBDA_C.value(p), exterior_derivative(lib.LAMBDA_C, p))),
+    (lib.FERMI3, lambda p: pullback(fermi_to_halfplane_point, lib.ALPHA_CAN_H, p,
+                                    fermi_to_halfplane_jac)),
+    (lib.FERMI3, lambda p: pullback(lib.s_action_fermi, ALPHA_CAN_FERMI, p,
+                                    lambda q: np.diag([-1.0, -1.0, 1.0]))),
+    (lib.COVER4, lambda p: pullback(lib.theta_trivialization, lib.LAMBDA_COVER_V1, p,
+                                    lib.theta_trivialization_jac)),
+    (lib.COVER4, lambda p: (pullback(psi0_map, lib.LAMBDA_CAN_T2, p, lib.psi0_jac),
+                            lib.LAMBDA_COVER_V2.value(p))),
+]
+
+
+def _leaves(q):
+    """The arrays of a quantity: form values key by key, tuples in order."""
+    if isinstance(q, dict):
+        return [x for k in sorted(q) for x in _leaves(q[k])]
+    if isinstance(q, tuple):
+        return [x for part in q for x in _leaves(part)]
+    return [np.asarray(q, dtype=float)]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64), n=st.integers(1, 50))
+@example(seed=7, n=1)
+def test_whole_sample_equals_its_points(seed, n):
+    # each point's entries of a whole-sample evaluation agree with the same
+    # function called on that point alone, to 4 ulp
+    for chart, quantity in _SAMPLED:
+        pts = chart.sample_points(n, seed, margin=1e-4)
+        whole = _leaves(quantity(pts.T))
+        for i, p in enumerate(pts):
+            each = _leaves(quantity(p))
+            assert len(each) == len(whole)
+            for w, x in zip(whole, each):
+                w = np.broadcast_to(w, x.shape + (n,))[..., i]
+                ulp = np.spacing(np.maximum(np.abs(w), np.abs(x)))
+                assert np.all(np.abs(w - x) <= 4 * ulp), (chart.name, i, w, x)
+
+
+def test_whole_sample_raises_where_a_point_would():
+    pts = TB4.sample_points(5, 7, margin=1e-4)
+    with pytest.raises(SingularSystem):
+        solve_liouville(LAMBDA_DS, pts.T)
+    bad = pts.copy()
+    bad[3, 0] = 1.5  # s outside [-1, 1]
+    with pytest.raises(OutOfDomain, match="1.5"):
+        exterior_derivative(LAMBDA_TB, bad.T)
+    # a(k) = 0 at the second point only
+    w = {(0, 1): np.array([1.0, 1.0]), (1, 2): np.array([1.0, 0.0])}
+    assert reeb_vector({(0,): 1.0}, {(0, 1): 1.0, (1, 2): 1.0}).tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(SingularSystem, match=r"a\(k\) = 0\.0"):
+        reeb_vector({(0,): 1.0}, w)
+
+
 @pytest.mark.parametrize("modules, run, package", [
     # scipy.stats alone cost about 0.5 s and 70 MB of import, scipy.integrate
     # and scipy.optimize about 0.7 s and 42 MB; running the beta-curve
@@ -503,10 +606,15 @@ def test_scrambled_halton_matches_qmc_bytes(d):
      "assert anosovlab.oracles.mapping_torus_cellular_cohomology(A)"
      " == anosovlab.homology.mapping_torus_cohomology(A)",
      "mpmath"),
-], ids=["scipy", "mpmath", "numpy", "mpmath-oracles"])
+    # the Halton tables are drawn by a port of its generator: numpy.random
+    # alone costs about 6 MB of import
+    (("forms", "cli"),
+     "anosovlab.cli.main(['forms', 'check', '--samples', '40'])",
+     "numpy.random"),
+], ids=["scipy", "mpmath", "numpy", "mpmath-oracles", "numpy-random"])
 def test_imports_leave_package_unloaded(modules, run, package):
     code = ("import sys, %s; %s; sys.stderr.write(repr(sorted("
-            "m for m in sys.modules if m.split('.')[0] == %r)))"
+            "m for m in sys.modules if (m + '.').startswith(%r + '.'))))"
             % (", ".join("anosovlab." + m for m in modules), run, package))
     src = os.path.dirname(os.path.dirname(anosovlab.__file__))
     err = subprocess.run([sys.executable, "-c", code], capture_output=True,
