@@ -69,8 +69,8 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _count_at_most(limit, low=0):
-    """argparse type for window sizes: an integer in [low, limit]."""
+def _count_at_most(limit, low):
+    """argparse type for counts: an integer in [low, limit]."""
     at_least = _int_at_least(low)
 
     def parse(text):
@@ -85,7 +85,7 @@ def _count_at_most(limit, low=0):
 # chords enumerate lists about kmax^2 chords (140 MB at kmax 400): a larger
 # box would not fit in memory.  hw torus shares the flag and the bound.
 KMAX_LIMIT = 1000
-_kmax = _count_at_most(KMAX_LIMIT)
+_kmax = _count_at_most(KMAX_LIMIT, 0)
 
 # toral fixed, toral orbits and hw torus build every periodic point they
 # count: toral fixed on 95,048 points ("9 2 4 1", --n 5) takes 0.8 s and
@@ -593,7 +593,7 @@ COMMANDS = {
         ("--g1", {"default": "0 inf"}),
         ("--g2", {"default": "0.5 3"}),
         ("--l1", {"type": _positive_float, "default": 2.0}),
-        ("--K", {"type": _count_at_most(TRIANGLE_K_LIMIT), "default": 10}),
+        ("--K", {"type": _count_at_most(TRIANGLE_K_LIMIT, 0), "default": 10}),
     ), {
         "triangles": (_hyperbolic_triangles, ("g0", "g1", "g2", "l1", "K"),
                       "hyperbolic triangles"),

@@ -135,9 +135,10 @@ def _dot(u, v):
 
 
 def max_abs(x):
-    """max |x| as a float: over the points of a sample, or |x| at one."""
+    """max |x| as a float: over the points of a sample (0.0 when it is
+    empty), or |x| at one."""
     x = abs(x)
-    return float(x.max() if isinstance(x, np.ndarray) else x)
+    return float(x.max(initial=0.0) if isinstance(x, np.ndarray) else x)
 
 
 def zero_value(dim, degree):

@@ -10,6 +10,7 @@ resident memory on top of numpy, far more than the tables it would draw.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,12 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _seed_words(seed):
-    """SeedSequence(seed).generate_state(8, uint32) for an int seed >= 0."""
+    """SeedSequence(seed).generate_state(8, uint32) for an int seed >= 0;
+    like SeedSequence, a negative seed raises ValueError and a non-integer
+    one TypeError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     entropy = [seed & _MASK32]
     while seed >> 32:
         seed >>= 32

@@ -415,18 +415,23 @@ def _check(name, value, tol):
     return {"check": name, "max_residual": float(value), "pass": bool(value <= tol)}
 
 
+def _columns(samples, dim):
+    """The coordinate arrays of a sample of n >= 0 points (n x dim)."""
+    return np.asarray(samples, dtype=float).reshape(len(samples), dim).T
+
+
 def check_geiges(alpha_minus, alpha_plus, samples, h=1e-5):
     """Geiges-pair identities on a 3-chart over a sample (n x 3), plus a
     sign report."""
     if alpha_minus.chart.dim != 3:
         raise ValueError("Geiges check needs a 3-dimensional chart")
-    p = np.asarray(samples, dtype=float).T
+    p = _columns(samples, 3)
     vp, vm = alpha_plus.value(p), alpha_minus.value(p)
     dp = exterior_derivative(alpha_plus, p, h)
     dm = exterior_derivative(alpha_minus, p, h)
     pp = contact_volume(vp, dp)
     signs = np.copysign(1.0, pp)
-    constant = bool(signs.min() == signs.max())
+    constant = signs.size > 0 and bool(signs.min() == signs.max())
     return {
         "sum_residual": max_abs(pp + contact_volume(vm, dm)),
         "mixed_residual": max(max_abs(contact_volume(vm, dp)),
@@ -438,6 +443,8 @@ def check_geiges(alpha_minus, alpha_plus, samples, h=1e-5):
 
 def run_suite(suite, samples=1000, tol=1e-8, seed=7):
     """Named verification batteries; returns a list of check dicts."""
+    if samples < 1:
+        raise ValueError("a suite needs at least one sample, got %r" % samples)
     if suite == "torus-bundle":
         return _suite_torus_bundle(samples, tol, seed)
     if suite == "mcduff-fermi":
@@ -467,7 +474,7 @@ def psl2_invariance(form, element, samples, tau=1.0):
         jac = lambda p: np.eye(3)
     else:
         raise ValueError("element must be 'T', 'S' or 'identity'")
-    p = np.asarray(samples, dtype=float).T
+    p = _columns(samples, 3)
     return max_value_deviation(pullback(act, form, p, jac), form.value(p))
 
 

@@ -78,6 +78,8 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["hyperbolic", "ortho", "--g1", "1/0 2"]) == 2
     # counts and lengths are checked before use
     assert main(["forms", "check", "--suite", "covers", "--samples", "0"]) == 2
+    assert main(["forms", "check", "--suite", "covers", "--samples", "1",
+                 "--seed", "-1"]) == 2
     assert main(["torus-curve", "build", "--samples", "-5"]) == 2
     assert main(["hyperbolic", "triangles", "--l1", "nan"]) == 2
     assert main(["hyperbolic", "triangles", "--l1", "inf"]) == 2

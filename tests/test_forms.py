@@ -476,7 +476,8 @@ def test_scrambled_halton_matches_qmc_bytes(d):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 3**100])
+@pytest.mark.parametrize(
+    "seed", [0, 1, 7, np.int64(7), 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 3**100])
 def test_pcg64_port_matches_numpy_random(seed):
     # the Halton tables stay bit-identical only if every draw does
     ours, ref = _PCG64(seed), np.random.PCG64(seed)
@@ -489,6 +490,29 @@ def test_pcg64_port_matches_numpy_random(seed):
             mine = list(range(base))
             ours.shuffle(mine)
             assert mine == perm.tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.5, "7"])
+def test_pcg64_port_rejects_seeds_numpy_rejects(seed):
+    # a negative seed must raise, not loop on seed >> 32 == -1
+    with pytest.raises(Exception) as want:
+        np.random.PCG64(seed)
+    with pytest.raises(want.type):
+        _PCG64(seed)
+
+
+def test_empty_samples():
+    # the public checks reduce an empty sample as an empty loop did; a suite
+    # refuses one
+    empty = np.empty((0, 3))
+    for samples in ([], empty):
+        assert lib.check_geiges(lib.ALPHA_MINUS, ALPHA_PLUS, samples) == {
+            "sum_residual": 0.0, "mixed_residual": 0.0,
+            "volume_sign_constant": False, "volume_sign": 0.0}
+        assert lib.psl2_invariance(ALPHA_PRE_H, "T", samples) == 0.0
+        assert math.isnan(check_nondegenerate(LAMBDA_TB, samples))
+    with pytest.raises(ValueError, match="at least one sample"):
+        run_suite("covers", samples=0)
 
 
 # ------------------------------------------- Jacobians and whole samples
