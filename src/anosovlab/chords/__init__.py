@@ -268,10 +268,6 @@ class FilteredChordSet:
             k = self.k_max
         return self.counts_by_k[k]
 
-    def ring(self, k):
-        """Chords with box length exactly k."""
-        return tuple(c for c in self.chords if c.box == k)
-
 
 def _over_common_den(wx, wy):
     """(X, Y, den) with (wx, wy) = (X/den, Y/den) for rationals wx, wy."""

@@ -65,7 +65,6 @@ def _int_at_least(low):
     return parse
 
 
-_positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
@@ -101,6 +100,14 @@ TRIANGLE_K_LIMIT = 10_000
 # samples the largest suite (mcduff-fermi) peaks at 180 MB under tracemalloc
 # and takes 1.6 s.
 SAMPLES_LIMIT = 500_000
+
+# torus-curve build prints five floats per sample: at 10,000 samples it
+# takes 0.5 s and peaks at 15 MB under tracemalloc (1.1 MB of JSON).
+CURVE_SAMPLES_LIMIT = 10_000
+
+# hw mcduff Dehn-reduces the double cosets of every reduced word up to
+# length --L, about seven times as many per letter: 0.27 s at 4, 1.3 s at 5.
+WORD_LEN_LIMIT = 5
 
 
 def _positive_float(text):
@@ -296,10 +303,9 @@ def _hw_mcduff(args):
     gamma = ConjClass(pres, pres.class_key(pres.parse(args.gamma)))
     beta = ConjClass(pres, pres.class_key(pres.parse(args.beta)))
     rep = FuchsianRep(pres)
-    word_len = min(args.L, 5)
-    out = mcduff_hw_generators(gamma, beta, rep, word_len=word_len,
+    out = mcduff_hw_generators(gamma, beta, rep, word_len=args.L,
                                t_cutoff=args.T)
-    return ({"params": {"word_len_used": word_len}, "results": out},
+    return ({"results": out},
             [{"name": "relator-residual", "pass": rep.relator_residual < 1e-8,
               "residual": rep.relator_residual}])
 
@@ -507,9 +513,6 @@ def _suite_acceptance(args):
 
 _MATRIX = ("--matrix", {"default": "2 1 1 1"})
 _GENUS = ("--genus", {"type": int, "default": 2})
-_MAX_NORM = ("--max-norm", {"type": int, "default": 10})
-_TMAX = ("--tmax", {"type": int, "default": 2})
-_CLASSES = ("--classes", {"default": ""})
 _TOL = ("--tol", {"type": _positive_float, "default": 1e-8})
 
 COMMANDS = {
@@ -539,7 +542,7 @@ COMMANDS = {
         _GENUS,
         ("--gamma", {"default": "a1"}),
         ("--beta", {"default": "b1"}),
-        ("--L", {"type": _non_negative_int, "default": 4}),
+        ("--L", {"type": _count_at_most(WORD_LEN_LIMIT, 0), "default": 4}),
         ("--T", {"type": _non_negative_int, "default": 3}),
         _MATRIX,
         ("--N", {"type": int, "default": 2}),
@@ -557,9 +560,9 @@ COMMANDS = {
         _GENUS,
         ("--N", {"type": int, "default": 10}),
         ("--orbits", {"type": int, "default": None}),
-        _MAX_NORM,
-        _TMAX,
-        _CLASSES,
+        ("--max-norm", {"type": int, "default": 10}),
+        ("--tmax", {"type": int, "default": 2}),
+        ("--classes", {"default": ""}),
     ), {
         "mapping-torus": (_homology_mapping_torus, ("matrix",),
                           "homology mapping-torus"),
@@ -571,14 +574,6 @@ COMMANDS = {
                      "homology sh-torus"),
         "sh-mcduff": (_homology_sh_mcduff, ("genus", "tmax"),
                       "homology sh-mcduff"),
-    }),
-    "sh": ("symplectic cohomology rank reports", (
-        _MATRIX, _GENUS, _MAX_NORM, _TMAX, _CLASSES,
-    ), {
-        "torus": (_homology_sh_torus, ("matrix", "max_norm"),
-                  "homology sh-torus"),
-        "mcduff": (_homology_sh_mcduff, ("genus", "tmax"),
-                   "homology sh-mcduff"),
     }),
     "forms": ("closed-form differential checks", (
         ("--suite", {"default": "all", "choices": ("all",) + _SUITES}),
@@ -603,10 +598,12 @@ COMMANDS = {
         ("--delta", {"type": _positive_float, "default": 0.4}),
         ("--height-frac", {"type": float, "default": 0.9}),
         _TOL,
-        ("--samples", {"type": _positive_int, "default": 256}),
+        ("--samples", {"type": _count_at_most(CURVE_SAMPLES_LIMIT, 1),
+                       "default": 256}),
         ("--input", {"default": None}),
     ), {
-        "build": (_torus_curve_build, ("delta", "height_frac", "tol"),
+        "build": (_torus_curve_build,
+                  ("delta", "height_frac", "tol", "samples"),
                   "torus-curve build"),
         "verify": (_torus_curve_verify, ("input",), "torus-curve verify"),
     }),

@@ -58,9 +58,6 @@ class GradedZModule:
     def degrees(self):
         return sorted(self.entries)
 
-    def total_free_rank(self):
-        return sum(f for f, _ in self.entries.values())
-
     def euler_characteristic(self):
         return sum((-1) ** d * f for d, (f, _) in self.entries.items())
 
@@ -85,12 +82,6 @@ class GradedZModule:
         out = GradedZModule()
         for deg, (f, t) in self.entries.items():
             out.set(deg, f * k, t * k)
-        return out
-
-    def shifted(self, offset):
-        out = GradedZModule()
-        for deg, (f, t) in self.entries.items():
-            out.set(deg + offset, f, t)
         return out
 
     def to_dict(self):

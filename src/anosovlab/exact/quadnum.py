@@ -52,10 +52,6 @@ class QuadNum:
             self.a += self.b
             self.b = Fraction(0)
 
-    @classmethod
-    def rational(cls, a):
-        return cls(Fraction(a), 0, 1)
-
     def _coerce(self, other):
         if isinstance(other, QuadNum):
             if other.D != self.D and other.b != 0 and self.b != 0:
@@ -99,9 +95,6 @@ class QuadNum:
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        return QuadNum(self.a, -self.b, self.D)
 
     def norm(self):
         """Field norm a^2 - b^2 D, a rational."""

@@ -3,8 +3,8 @@
 Geodesics are stored by oriented ideal endpoints (extended reals), which
 makes the Mobius action a projective map on two numbers.  Everything here
 is float geometry with stated tolerances; the combinatorial counts built on
-top (triangle windows, chord splittings) are integers robust to the float
-fuzz because the configurations tested keep their data away from tangency.
+top (triangle windows) are integers robust to the float fuzz because the
+configurations tested keep their data away from tangency.
 """
 
 from __future__ import annotations
@@ -29,15 +29,7 @@ class SharedEndpoint(ValueError):
     pass
 
 
-class TangentialIntersection(ValueError):
-    pass
-
-
 class DegenerateConfiguration(ValueError):
-    pass
-
-
-class OutOfDomain(ValueError):
     pass
 
 
@@ -164,11 +156,6 @@ class Mobius:
         return "Mobius(%r)" % (self.m.tolist(),)
 
 
-def hyperbolic_distance(z1, z2):
-    num = abs(z1 - z2) ** 2
-    return math.acosh(1.0 + num / (2.0 * z1.imag * z2.imag))
-
-
 def _endpoints_separate(g1, g2):
     """True iff the endpoint pairs separate each other on the circle R u inf."""
 
@@ -245,37 +232,6 @@ def hyperbolic_translation(g, length):
     return N @ core @ N.inverse()
 
 
-def fermi_from_halfplane(z):
-    """Fermi coordinates (r, t) adapted to the geodesic t -> i e^t."""
-    x, y = z.real, z.imag
-    if y <= 0:
-        raise OutOfDomain("point not in the upper half-plane")
-    r = math.asinh(x / y)
-    t = 0.5 * math.log(x * x + y * y)
-    return r, t
-
-
-def halfplane_from_fermi(r, t):
-    return complex(math.tanh(r) * math.exp(t), math.exp(t) / math.cosh(r))
-
-
-def fermi_metric_residual(z, h=1e-6):
-    """|pullback of the hyperbolic metric - (dr^2 + cosh^2 r dt^2)| at z."""
-    r, t = fermi_from_halfplane(z)
-
-    def F(rv, tv):
-        w = halfplane_from_fermi(rv, tv)
-        return np.array([w.real, w.imag])
-
-    J = np.zeros((2, 2))
-    J[:, 0] = (F(r + h, t) - F(r - h, t)) / (2 * h)
-    J[:, 1] = (F(r, t + h) - F(r, t - h)) / (2 * h)
-    g_half = np.eye(2) / (z.imag**2)
-    g_pull = J.T @ g_half @ J
-    g_fermi = np.diag([1.0, math.cosh(r) ** 2])
-    return float(np.max(np.abs(g_pull - g_fermi)))
-
-
 @dataclass(frozen=True)
 class OrthoChord:
     """Common perpendicular segment between two disjoint geodesics."""
@@ -317,44 +273,6 @@ def orthogeodesic(g1, g2):
         foot2=Minv.apply_point(foot2),
         geodesic=Minv.apply_geodesic(perp),
     )
-
-
-def orthogeodesic_length_brute(g1, g2, n=150, refine=60):
-    """Oracle: grid search plus coordinate descent on point-pair distance."""
-
-    def param(g, u):
-        # u in (0,1) sweeps the geodesic
-        if g.is_vertical:
-            y = math.tan(0.5 * math.pi * u)
-            return complex(g.foot, y)
-        ang = math.pi * u
-        return complex(
-            g.center + g.radius * math.cos(ang), g.radius * math.sin(ang)
-        )
-
-    def dist(u, v):
-        return hyperbolic_distance(param(g1, u), param(g2, v))
-
-    best = None
-    for i in range(1, n):
-        for j in range(1, n):
-            d = dist(i / n, j / n)
-            if best is None or d < best[0]:
-                best = (d, i / n, j / n)
-    d, u, v = best
-    step = 1.0 / n
-    for _ in range(refine):
-        improved = False
-        for du, dv in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            uu, vv = u + du, v + dv
-            if 0 < uu < 1 and 0 < vv < 1:
-                dd = dist(uu, vv)
-                if dd < d:
-                    d, u, v = dd, uu, vv
-                    improved = True
-        if not improved:
-            step /= 2.0
-    return d
 
 
 @dataclass(frozen=True)
@@ -485,41 +403,3 @@ def grading_check(k01, k12, k02):
     """Product coefficient vanishes unless k02 = k01 + k12."""
     return k02 == k01 + k12
 
-
-def _point_between_on_circle(chord: OrthoChord, z, tol=1e-9):
-    g = chord.geodesic
-    if g.is_vertical:
-        lo = min(chord.foot1.imag, chord.foot2.imag)
-        hi = max(chord.foot1.imag, chord.foot2.imag)
-        return lo - tol <= z.imag <= hi + tol
-    ang = math.atan2(z.imag, z.real - g.center)
-    a1 = math.atan2(chord.foot1.imag, chord.foot1.real - g.center)
-    a2 = math.atan2(chord.foot2.imag, chord.foot2.real - g.center)
-    lo, hi = min(a1, a2), max(a1, a2)
-    return lo - tol <= ang <= hi + tol
-
-
-def cobracket_delta(g0, g2, lifts, angle_tol=1e-7):
-    """Split the binormal chord from g0 to g2 at its crossings with lifts.
-
-    lifts is the window of lifts of the middle closed geodesic.  For each
-    transverse crossing of the chord segment, the two split homotopy classes
-    are represented by the orthogeodesics (g0, lift) and (lift, g2).
-    Returns a list of (crossing point, left chord, right chord)."""
-    chord = orthogeodesic(g0, g2)
-    out = []
-    for h in lifts:
-        hit = intersect(chord.geodesic, h)
-        if hit is None:
-            continue
-        z, ang = hit
-        if not _point_between_on_circle(chord, z):
-            continue
-        if ang < angle_tol or math.pi - ang < angle_tol:
-            raise TangentialIntersection(
-                "crossing at %r is tangential within tolerance" % (z,)
-            )
-        left = orthogeodesic(g0, h)
-        right = orthogeodesic(h, g2)
-        out.append((z, left, right))
-    return out

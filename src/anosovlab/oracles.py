@@ -5,7 +5,8 @@ primary code path: cellular chain complexes instead of the Wang/Gysin
 formulas, high-precision or plain floating sign tests instead of exact
 quadratic arithmetic, a point-by-point box scan instead of row intervals,
 dense sampling instead of circle algebra, Mobius products instead of
-axis-frame dilations for triangle translates, direct region integrals by
+axis-frame dilations for triangle translates, a point-pair grid search
+instead of the closed-form orthogeodesic, direct region integrals by
 mpmath tanh-sinh instead of boundary integrals by Gauss-Legendre, LAPACK
 determinants instead of Leibniz sums for the minors of a pullback, LAPACK
 solves instead of kernels and Pfaffian adjugates for the Reeb, Liouville
@@ -472,6 +473,51 @@ def triangle_enumerate_products(g0, g1, g2, ell1, K, collision_tol=1e-9):
                             translate=h)
         )
     return out
+
+
+# ----------------------------------------------- orthogeodesic search
+
+def hyperbolic_distance(z1, z2):
+    num = abs(z1 - z2) ** 2
+    return math.acosh(1.0 + num / (2.0 * z1.imag * z2.imag))
+
+
+def orthogeodesic_length_brute(g1, g2, n=150, refine=60):
+    """Oracle: grid search plus coordinate descent on point-pair distance."""
+
+    def param(g, u):
+        # u in (0,1) sweeps the geodesic
+        if g.is_vertical:
+            y = math.tan(0.5 * math.pi * u)
+            return complex(g.foot, y)
+        ang = math.pi * u
+        return complex(
+            g.center + g.radius * math.cos(ang), g.radius * math.sin(ang)
+        )
+
+    def dist(u, v):
+        return hyperbolic_distance(param(g1, u), param(g2, v))
+
+    best = None
+    for i in range(1, n):
+        for j in range(1, n):
+            d = dist(i / n, j / n)
+            if best is None or d < best[0]:
+                best = (d, i / n, j / n)
+    d, u, v = best
+    step = 1.0 / n
+    for _ in range(refine):
+        improved = False
+        for du, dv in ((step, 0), (-step, 0), (0, step), (0, -step)):
+            uu, vv = u + du, v + dv
+            if 0 < uu < 1 and 0 < vv < 1:
+                dd = dist(uu, vv)
+                if dd < d:
+                    d, u, v = dd, uu, vv
+                    improved = True
+        if not improved:
+            step /= 2.0
+    return d
 
 
 # ------------------------------------------------------ region areas

@@ -9,8 +9,7 @@ and four quarter arcs, in local arclength.  The weighted area is the
 boundary integral of x/(1-y^2) dy by adaptive Gauss-Legendre quadrature
 piece by piece, and the winding number sums the angle swept piece by
 piece.  The stadium's weighted area is linear in its segment length, so
-the exact-area length is a closed form.  Flow lines of the plane field are
-closed forms too.
+the exact-area length is a closed form.
 """
 
 from __future__ import annotations
@@ -60,9 +59,9 @@ class StripSpec:
 
 @dataclass
 class PlaneCurve:
-    """Parametrized curve with derivatives; closed iff period is set.
+    """Closed parametrized curve with derivatives.
 
-    A closed curve is the cycle `pieces` of (length, at) pairs, at(u) =
+    The curve is the cycle `pieces` of (length, at) pairs, at(u) =
     (x, y, x', y') for 0 <= u <= length; `breakpoints` are the piece starts
     followed by the period.  Given pieces, the period, breakpoints and
     f, g, fp, gp follow from them; given f, g, fp, gp and a period, there is
@@ -72,7 +71,7 @@ class PlaneCurve:
     g: object = None
     fp: object = None
     gp: object = None
-    period: float = None          # None for curves on a line/ray
+    period: float = None
     breakpoints: tuple = ()
     meta: dict = field(default_factory=dict)
     pieces: tuple = ()
@@ -84,7 +83,7 @@ class PlaneCurve:
             self.period = self.breakpoints[-1]
             self.f, self.g, self.fp, self.gp = (
                 (lambda s, i=i: self.at(s)[i]) for i in range(4))
-        elif self.closed:
+        else:
             self.breakpoints = self.breakpoints or (0.0, self.period)
             self.pieces = tuple(
                 (b - a, self._shifted(a))
@@ -94,24 +93,17 @@ class PlaneCurve:
         f, g, fp, gp = self.f, self.g, self.fp, self.gp
         return lambda u: (f(a + u), g(a + u), fp(a + u), gp(a + u))
 
-    @property
-    def closed(self):
-        return self.period is not None
-
     def at(self, s):
-        """(x, y, x', y') at s of a closed curve, by one piece lookup."""
+        """(x, y, x', y') at s, by one piece lookup."""
         s %= self.period
         k = _piece(self.breakpoints, s)
         return self.pieces[k][1](s - self.breakpoints[k])
 
     def point(self, s):
-        return self.at(s)[:2] if self.closed else (self.f(s), self.g(s))
+        return self.at(s)[:2]
 
-    def sample(self, n=2048, lo=None, hi=None):
-        if self.closed:
-            ss = np.linspace(0.0, self.period, n, endpoint=False)
-        else:
-            ss = np.linspace(lo, hi, n)
+    def sample(self, n=2048):
+        ss = np.linspace(0.0, self.period, n, endpoint=False)
         pts = np.array([self.point(s) for s in ss])
         return ss, pts
 
@@ -204,8 +196,6 @@ def _swept(at, lo, hi, a_lo, a_hi):
 def winding_number(curve):
     """Degree about the origin: the angle swept piece by piece, from
     positions only."""
-    if not curve.closed:
-        raise ValueError("winding number needs a closed curve")
     total = 0.0
     for length, at in curve.pieces:
         if length <= 0:
@@ -218,7 +208,7 @@ def winding_number(curve):
 
 
 def assert_in_strip(curve, eps, n=4096):
-    _, pts = curve.sample(n) if curve.closed else curve.sample(n, *curve.meta["range"])
+    _, pts = curve.sample(n)
     worst = float(np.max(np.abs(pts[:, 1])))
     if worst >= eps:
         raise OutOfStrip("max |y| = %g >= eps = %g" % (worst, eps))
@@ -293,8 +283,6 @@ def _integrate(fn, curve, tol):
 
 def weighted_area(curve, tol=1e-10):
     """Boundary evaluation of int_D dx dy / (1 - y^2) via x/(1-y^2) dy."""
-    if not curve.closed:
-        raise ValueError("weighted area needs a closed curve")
     _, pts = curve.sample(512)
     if float(np.max(np.abs(pts[:, 1]))) >= 1.0:
         raise OutOfStrip("curve leaves |y| < 1 where the form is singular")
@@ -358,110 +346,3 @@ def verify_exactness(curve, delta=None, n=1000):
         "weighted_area": area,
         "winding": wind,
     }
-
-
-def tangency_residual(curve, segments, n=400):
-    """max |g' f (1 - f^2 - 2 g^2) - f' g (1 - g^2)| over the segments."""
-    worst = 0.0
-    for a, b in segments:
-        for s in np.linspace(a, b, n):
-            fv, gv = curve.f(s), curve.g(s)
-            fpv, gpv = curve.fp(s), curve.gp(s)
-            worst = max(
-                worst,
-                abs(
-                    gpv * fv * (1 - fv * fv - 2 * gv * gv)
-                    - fpv * gv * (1 - gv * gv)
-                ),
-            )
-    return worst
-
-
-def check_cylindrical_ends(curve, end_segments, n=400):
-    """Max residual of the end-tangency identity over the declared ends.
-
-    A ray curve is cylindrical at its ends iff it is tangent there to the
-    plane field X, equivalently g' f (1 - f^2 - 2g^2) - f' g (1 - g^2) = 0;
-    the interior is unconstrained."""
-    return tangency_residual(curve, end_segments, n=n)
-
-
-def plane_field(x, y):
-    """The tangency plane field X = x(1-x^2-2y^2) d/dx + y(1-y^2) d/dy."""
-    return (x * (1 - x * x - 2 * y * y), y * (1 - y * y))
-
-
-def integrate_plane_field(start, t_span):
-    """Trajectory of the plane field (an end-tangent curve), in closed form.
-
-    With t = s - t_span[0], e = expm1(2t) and D = 1 + y0^2 e, the equation
-    y' = y (1 - y^2) gives y = y0 e^t / sqrt(D), and u = x^-2 solves the
-    linear u' = -2u + 2 + 4y^2, which gives x = x0 e^t / sqrt(D (D + x0^2 e))."""
-    x0, y0 = float(start[0]), float(start[1])
-    s0 = float(t_span[0])
-
-    def f(s):
-        t = s - s0
-        e = math.expm1(2 * t)
-        D = 1 + y0 * y0 * e
-        return x0 * math.exp(t) / math.sqrt(D * (D + x0 * x0 * e))
-
-    def g(s):
-        t = s - s0
-        return y0 * math.exp(t) / math.sqrt(1 + y0 * y0 * math.expm1(2 * t))
-
-    def fp(s):
-        return plane_field(f(s), g(s))[0]
-
-    def gp(s):
-        return plane_field(f(s), g(s))[1]
-
-    return PlaneCurve(f=f, g=g, fp=fp, gp=gp, period=None,
-                      meta={"family": "flowline", "range": t_span})
-
-
-def u_shaped_curve(depth, half_width=1.0):
-    """Curve equal to (s, 0) for |s| >= half_width, dipping below the origin.
-
-    The dip is a smooth bump of the given depth, so the curve is smooth,
-    avoids the origin, and is exactly tangent to the horizontal ends."""
-    if depth <= 0:
-        raise ValueError("depth > 0 required")
-    w = float(half_width)
-
-    def bump(t):
-        if abs(t) >= 1.0:
-            return 0.0
-        return math.exp(1.0 - 1.0 / (1.0 - t * t))
-
-    def bump_p(t):
-        if abs(t) >= 1.0:
-            return 0.0
-        return bump(t) * (-2.0 * t / (1.0 - t * t) ** 2)
-
-    def f(s):
-        return s
-
-    def g(s):
-        return -depth * bump(s / w)
-
-    def fp(s):
-        return 1.0
-
-    def gp(s):
-        return -depth * bump_p(s / w) / w
-
-    curve = PlaneCurve(f=f, g=g, fp=fp, gp=gp, period=None,
-                       meta={"family": "u-shape", "depth": depth,
-                             "half_width": w, "range": (-3 * w, 3 * w)})
-    lo, hi = curve.meta["range"]
-    ss = np.linspace(lo, hi, 4001)
-    vals = np.array([math.hypot(f(s), g(s)) for s in ss])
-    # derivative bound |beta'| <= sqrt(1 + (depth*max|bump'|/w)^2) certifies
-    # the sampled minimum up to half a step
-    slope = math.sqrt(1.0 + (depth * 2.6 / w) ** 2)
-    margin = slope * (ss[1] - ss[0]) / 2.0
-    if float(vals.min()) - margin <= 0.0:
-        raise OriginOnCurve("cannot certify origin avoidance")
-    curve.meta["min_radius"] = float(vals.min() - margin)
-    return curve

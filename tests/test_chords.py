@@ -379,12 +379,6 @@ def test_product_candidates_slope_interpolation():
             abs((z_raw - cand.z) % H.nu - H.nu) < 1e-9
 
 
-def test_filtered_set_ring():
-    cs = enumerate_chords(H, (0, 0), (0, 0), -1, 6)
-    assert sum(len(cs.ring(k)) for k in range(7)) == cs.count()
-    assert all(c.box == 3 for c in cs.ring(3))
-
-
 def test_product_candidates_incompatible():
     orbs = orbits_up_to_period(CAT, 2)
     fixed, per2 = orbs[0], orbs[1]

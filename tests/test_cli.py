@@ -10,10 +10,12 @@ from anosovlab import acceptance
 from anosovlab import cli
 from anosovlab.cli import (
     COMMANDS,
+    CURVE_SAMPLES_LIMIT,
     KMAX_LIMIT,
     POINTS_LIMIT,
     SAMPLES_LIMIT,
     TRIANGLE_K_LIMIT,
+    WORD_LEN_LIMIT,
     emit,
     main,
 )
@@ -71,6 +73,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     code, _ = _run(["toral", "orbits", "--matrix", "1 0 0 1", "--N", "2"])
     assert code == 2  # not hyperbolic: usage-level error
     assert main(["nonsense"]) == 2
+    assert main(["sh", "torus"]) == 2  # removed alias of homology sh-torus
     assert main(["toral", "orbits", "--matrix", "2 1 1 1", "--bogus"]) == 2
     # a zero denominator in a point literal is a usage error
     assert main(["chords", "enumerate", "--matrix", "2 1 1 1", "--p", "0 0",
@@ -90,6 +93,7 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     # negative counts, csv of a table report and an incomplete curve file
     bad = [["toral", "orbits", "--matrix", "2 1 1 1", "--N", "-1"],
            ["hw", "mcduff", "--L", "-1"],
+           ["hw", "mcduff", "--L", str(WORD_LEN_LIMIT + 1)],
            ["hw", "mcduff", "--T", "-1"],
            ["homology", "mapping-torus", "--format", "csv"],
            ["homology", "circle-bundle", "--format", "csv"],
@@ -98,10 +102,10 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
            # repeated class
            ["hw", "mcduff", "--gamma", "a5"],
            ["hw", "mcduff", "--beta", "B3"],
-           ["sh", "mcduff", "--genus", "2", "--classes", "a5"],
-           ["sh", "mcduff", "--genus", "3", "--classes", "xyz"],
-           ["sh", "mcduff", "--genus", "3", "--classes", "a1A1"],
-           ["sh", "mcduff", "--classes", "a1,a1"],
+           ["homology", "sh-mcduff", "--genus", "2", "--classes", "a5"],
+           ["homology", "sh-mcduff", "--genus", "3", "--classes", "xyz"],
+           ["homology", "sh-mcduff", "--genus", "3", "--classes", "a1A1"],
+           ["homology", "sh-mcduff", "--classes", "a1,a1"],
            ["homology", "sh-mcduff", "--classes", "a1,b1a1B1"]]
     # a tolerance must be a finite float > 0, or the gate is switched off
     for tol in ("inf", "nan", "-1"):
@@ -110,6 +114,9 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     # a curve width must be a finite float > 0: inf printed Infinity, not JSON
     for delta in ("inf", "nan", "0", "-1"):
         bad.append(["torus-curve", "build", "--delta", delta])
+    # every sample is built and printed at once, so the count is bounded
+    for samples in (str(CURVE_SAMPLES_LIMIT + 1), "1000000000000"):
+        bad.append(["torus-curve", "build", "--samples", samples])
     # --K 10^8 once ran for over 20 s of Mobius products; --l1 nan or 0
     # failed only inside the enumeration
     for K in ("1000000000000", "-1", str(TRIANGLE_K_LIMIT + 1)):
@@ -264,15 +271,6 @@ def test_curve_build_verify_round_trip(tmp_path):
     assert json.loads(out.decode())["pass"]
 
 
-def test_sh_alias_matches_homology():
-    c1, out1 = _run(["sh", "torus", "--matrix", "3 1 2 1", "--max-norm", "4"])
-    c2, out2 = _run(["homology", "sh-torus", "--matrix", "3 1 2 1",
-                     "--max-norm", "4"])
-    assert c1 == c2 == 0
-    d1, d2 = json.loads(out1.decode()), json.loads(out2.decode())
-    assert d1["results"] == d2["results"]
-
-
 def test_forms_cli_failing_check_exits_one(monkeypatch):
     # an impossible tolerance forces at least one failing check
     code, out = _run(["forms", "check", "--suite", "torus-bundle",
@@ -303,7 +301,7 @@ CASES = {
     ("chords", "fibers"): (["--matrix", "2 1 1 1", "--max-norm", "5"], 0,
                            "chords fibers", {"matrix", "sign", "max_norm"}),
     ("hw", "mcduff"): (["--L", "2", "--T", "1"], 0, "hw mcduff",
-                       {"genus", "gamma", "beta", "L", "T", "word_len_used"}),
+                       {"genus", "gamma", "beta", "L", "T"}),
     ("hw", "torus"): (["--N", "2", "--orbit2", "1", "--kmax", "3"], 0, "hw torus",
                       {"matrix", "N", "orbit1", "orbit2", "kmax"}),
     ("homology", "mapping-torus"): (["--matrix", "3 1 2 1"], 0,
@@ -316,17 +314,13 @@ CASES = {
                                {"matrix", "max_norm"}),
     ("homology", "sh-mcduff"): (["--classes", "a1,b1"], 0, "homology sh-mcduff",
                                 {"genus", "tmax", "classes"}),
-    ("sh", "torus"): (["--max-norm", "4"], 0, "homology sh-torus",
-                      {"matrix", "max_norm"}),
-    ("sh", "mcduff"): (["--classes", "a1"], 0, "homology sh-mcduff",
-                       {"genus", "tmax", "classes"}),
     ("forms", "check"): (["--suite", "covers", "--samples", "10"], 0, "forms check",
                          {"suite", "tol", "samples", "seed"}),
     ("hyperbolic", "triangles"): (["--K", "3"], 0, "hyperbolic triangles",
                                   {"g0", "g1", "g2", "l1", "K"}),
     ("hyperbolic", "ortho"): (["--g2", "0.5 2"], 0, "hyperbolic ortho", {"g1", "g2"}),
     ("torus-curve", "build"): (["--samples", "4"], 0, "torus-curve build",
-                               {"delta", "height_frac", "tol"}),
+                               {"delta", "height_frac", "tol", "samples"}),
     ("torus-curve", "verify"): (["--input"], 0, "torus-curve verify", {"input"}),
     # stub criteria, one failing: the report must still come out, with exit 1
     ("suite", "acceptance"): (["--quiet"], 1, "suite acceptance", set()),

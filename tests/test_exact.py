@@ -195,5 +195,4 @@ def test_graded_module_ops():
     assert s.free_rank(0) == 3 and s.torsion(0) == (3,)
     assert s.torsion(2) == (2,)
     assert a.scaled(3).free_rank(0) == 3
-    assert a.shifted(1).free_rank(1) == 1
     assert GradedZModule({0: (1, ()), 1: (1, ())}).euler_characteristic() == 0

@@ -604,10 +604,10 @@ def test_whole_sample_raises_where_a_point_would():
 @pytest.mark.parametrize("modules, run, package", [
     # scipy.stats alone cost about 0.5 s and 70 MB of import, scipy.integrate
     # and scipy.optimize about 0.7 s and 42 MB; running the beta-curve
-    # criterion and a flow line must not load them lazily either
+    # criterion and a beta curve must not load them lazily either
     (("surface", "hyperbolic", "forms", "shapes", "acceptance", "oracles"),
      "assert anosovlab.acceptance.criterion_10_beta_curve()['pass']; "
-     "anosovlab.shapes.integrate_plane_field((0.05, 0.02), (0.0, 4.0)).f(2.0)",
+     "anosovlab.shapes.build_exact_beta(0.3, 0.95)",
      "scipy"),
     # mpmath is a reference for the oracles only: the exact side and the CLI
     # load it for nothing (about 4 MB of import)

@@ -15,23 +15,18 @@ from anosovlab.hyperbolic import (
     Intersecting,
     Mobius,
     SharedEndpoint,
-    TangentialIntersection,
-    cobracket_delta,
-    fermi_from_halfplane,
-    fermi_metric_residual,
     grading_check,
-    halfplane_from_fermi,
-    hyperbolic_distance,
     hyperbolic_translation,
     intersect,
     orthogeodesic,
-    orthogeodesic_length_brute,
     triangle_enumerate,
 )
 from anosovlab.oracles import (
     _crossing_by_sampling,
     _sample_geodesic,
     _sides,
+    hyperbolic_distance,
+    orthogeodesic_length_brute,
     triangle_count_sampled,
     triangle_enumerate_products,
 )
@@ -89,26 +84,6 @@ def test_mobius_isometry():
         d1 = hyperbolic_distance(z1, z2)
         d2 = hyperbolic_distance(M.apply_point(z1), M.apply_point(z2))
         assert abs(d1 - d2) < 1e-10
-
-
-def test_fermi_roundtrip_and_values():
-    z = complex(0.0, math.exp(0.7))
-    r, t = fermi_from_halfplane(z)
-    assert abs(r) < 1e-14 and abs(t - 0.7) < 1e-14
-    w = halfplane_from_fermi(1.0, 0.0)
-    assert abs(w - complex(math.tanh(1.0), 1 / math.cosh(1.0))) < 1e-15
-    rng = random.Random(2)
-    for _ in range(200):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.05, 4))
-        r, t = fermi_from_halfplane(z)
-        assert abs(halfplane_from_fermi(r, t) - z) < 1e-12
-
-
-def test_fermi_metric_pullback():
-    rng = random.Random(3)
-    for _ in range(100):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-        assert fermi_metric_residual(z) < 1e-8
 
 
 def test_orthogeodesic_crossratio():
@@ -342,28 +317,3 @@ def test_grading_gate():
     assert grading_check(1, 2, 3)
     assert not grading_check(1, 2, 4)
 
-
-def test_cobracket_split():
-    gl, gr = Geodesic(-4.0, -3.0), Geodesic(3.0, 4.0)
-    chord = orthogeodesic(gl, gr)
-    pairs = cobracket_delta(gl, gr, [AXIS])
-    assert len(pairs) == 1
-    _, left, right = pairs[0]
-    # binormal representatives are no longer than the split pieces
-    assert left.length + right.length <= chord.length + 1e-9
-    assert cobracket_delta(gl, gr, [Geodesic(10.0, 11.0)]) == []
-    # crossing count equals the geometric intersection sweep
-    lifts = [AXIS, Geodesic(-1.0, 1.0), Geodesic(30.0, 31.0)]
-    hits = sum(
-        1
-        for h in lifts
-        if intersect(chord.geodesic, h) is not None
-    )
-    # only crossings inside the segment count
-    assert len(cobracket_delta(gl, gr, lifts)) <= hits
-
-
-def test_cobracket_tangential_flagged():
-    gl, gr = Geodesic(-4.0, -3.0), Geodesic(3.0, 4.0)
-    with pytest.raises(TangentialIntersection):
-        cobracket_delta(gl, gr, [AXIS], angle_tol=math.pi)

@@ -13,11 +13,8 @@ from anosovlab.shapes import (
     SelfIntersecting,
     assert_simple,
     build_exact_beta,
-    integrate_plane_field,
     rounded_rectangle,
     stadium_curve,
-    tangency_residual,
-    u_shaped_curve,
     verify_exactness,
     weighted_area,
     winding_number,
@@ -173,21 +170,6 @@ def test_detuned_curve_flags_period():
     assert abs(rep["period_residual"] + 0.1) < 1e-8
 
 
-def test_tangency_residuals():
-    from anosovlab.shapes import check_cylindrical_ends
-
-    line = PlaneCurve(f=lambda s: s, g=lambda s: 0.0,
-                      fp=lambda s: 1.0, gp=lambda s: 0.0)
-    assert check_cylindrical_ends(line, [(0.5, 4.0)]) == 0.0
-    const_y = PlaneCurve(f=lambda s: s, g=lambda s: 0.3,
-                         fp=lambda s: 1.0, gp=lambda s: 0.0)
-    assert check_cylindrical_ends(const_y, [(0.5, 4.0)]) > 1e-3
-    flow = integrate_plane_field([0.05, 0.02], (0.0, 4.0))
-    assert check_cylindrical_ends(flow, [(0.0, 4.0)], n=300) < 1e-8
-    assert tangency_residual(flow, [(0.0, 4.0)], n=300) == \
-        check_cylindrical_ends(flow, [(0.0, 4.0)], n=300)
-
-
 def test_weighted_area_out_of_strip():
     from anosovlab.shapes import OutOfStrip
 
@@ -203,17 +185,6 @@ def test_strip_spec():
     assert abs(s.eps - math.tanh(0.4)) < 1e-15
     with pytest.raises(ValueError):
         StripSpec(0.0)
-
-
-def test_u_shape():
-    u = u_shaped_curve(0.2)
-    for s in (1.0, 1.5, 3.0, -1.0, -2.5):
-        assert u.point(s) == (s, 0.0)
-    assert u.meta["min_radius"] > 0
-    assert tangency_residual(u, [(1.0, 3.0), (-3.0, -1.0)]) == 0.0
-    assert u.point(0.0)[1] == -0.2
-    with pytest.raises(ValueError):
-        u_shaped_curve(-1.0)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -241,29 +212,6 @@ def test_adaptive_rule_resolves_flat_peak():
     # on the long flat pieces the period integrand is h / (x^2 + h^2), a
     # peak of width h that fixed panels do not settle on
     assert verify_exactness(build_exact_beta(0.05, 0.5))["consistency"] < 1e-10
-
-
-@pytest.mark.parametrize("start, t_span", [
-    ((0.05, 0.02), (0.0, 4.0)),
-    ((0.0, 0.3), (0.0, 3.0)),
-    ((0.4, 0.0), (-1.0, 2.0)),
-    ((0.0, 0.0), (0.0, 1.0)),
-    ((-0.3, -0.5), (0.5, 3.5)),
-    ((0.9, 0.7), (-2.0, 1.0)),
-    ((1.5, -0.2), (0.0, 2.0)),
-    ((0.2, 0.95), (1.0, 5.0)),
-])
-def test_plane_field_flow_matches_solver(start, t_span):
-    import numpy as np
-    from scipy.integrate import solve_ivp
-
-    flow = integrate_plane_field(start, t_span)
-    sol = solve_ivp(lambda _, p: shapes.plane_field(p[0], p[1]), t_span,
-                    start, rtol=1e-12, atol=1e-14, dense_output=True)
-    for s in np.linspace(t_span[0], t_span[1], 24):
-        want = sol.sol(s)
-        assert abs(flow.f(s) - want[0]) < 1e-10
-        assert abs(flow.g(s) - want[1]) < 1e-10
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

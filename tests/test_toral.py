@@ -69,7 +69,7 @@ def test_origin_always_fixed():
 
 def test_fixed_point_counts_battery():
     for A in BATTERY:
-        for n in range(1, 9):
+        for n in range(1, 8):
             den, raw = fixed_points_raw(A, n)
             assert len(raw) == orbit_count_identity(A, n)
             assert len(set(raw)) == len(raw)
