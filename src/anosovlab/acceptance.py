@@ -372,15 +372,18 @@ def criterion_12_surface_group():
         return tuple(w)
 
     disagreements = 0
-    for trial in range(10000):
-        if trial % 20 == 19:  # inject known-trivial words
-            u = random_reduced(8)
-            rel = rng.choice(pres.symmetrized)
-            w = free_reduce(u + rel + invert_word(u))
-        else:
-            w = random_reduced(60)
-        if pres.is_trivial(w) != rep.is_identity(w):
-            disagreements += 1
+    for start in range(0, 10000, 1000):  # 1000 words alive at a time
+        words = []
+        for trial in range(start, start + 1000):
+            if trial % 20 == 19:  # inject known-trivial words
+                u = random_reduced(8)
+                rel = rng.choice(pres.symmetrized)
+                words.append(free_reduce(u + rel + invert_word(u)))
+            else:
+                words.append(random_reduced(60))
+        for w, identity in zip(words, rep.identity_mask(words)):
+            if pres.is_trivial(w) != identity:
+                disagreements += 1
     ok = ok and disagreements == 0
 
     from .surface import geodesic_length, parse_word

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +32,17 @@ class NotHyperbolicElement(ValueError):
 
 class TrivialClass(ValueError):
     pass
+
+
+class ClassKeyExhausted(ValueError):
+    """class_key met CLASS_KEY_STATES words of one class with more left to
+    visit, so the least word it saw is not proven canonical."""
+
+
+# class_key visits at most this many words of a class; the 52-letter word
+# a2b2A2B2B2A2b1a1b2A2B2a1a1B1A1b2A1b2a2B2B2A2b1a1B2A2b1a1B2A2b1a1B2A2b1a1
+# a2B2A2b1A1B1a2b2a2b2A2B2B2A2b1a1 reaches it after 1.3 s
+CLASS_KEY_STATES = 4096
 
 
 # ------------------------------------------------------------ words
@@ -182,20 +194,19 @@ class SurfacePresentation:
     def class_key(self, word):
         """Canonical conjugacy-class key: lexicographically least cyclic
         form, closed over rotations and length-preserving half-relator
-        swaps (the ambiguity of Dehn's conjugacy normal form)."""
+        swaps (the ambiguity of Dehn's conjugacy normal form).  Raises
+        ClassKeyExhausted past CLASS_KEY_STATES visited words."""
         base = self.cyclic_reduce(word)
         if base == ():
             return ()
         seen = set()
         frontier = [base]
         best = None
-        budget = 4096
-        while frontier and budget > 0:
+        while frontier and len(seen) < CLASS_KEY_STATES:
             w = frontier.pop()
             if w in seen:
                 continue
             seen.add(w)
-            budget -= 1
             n = len(w)
             for r in range(n):
                 rot = w[r:] + w[:r]
@@ -207,6 +218,10 @@ class SurfacePresentation:
                         swapped = self.cyclic_reduce(invert_word(rel[m:]) + rot[m:])
                         if swapped and swapped not in seen:
                             frontier.append(swapped)
+        if any(w not in seen for w in frontier):
+            raise ClassKeyExhausted(
+                "the class of %s has more than %d cyclic words to visit"
+                % (format_word(base), CLASS_KEY_STATES))
         return best
 
     def conjugacy_classes(self, L):
@@ -318,6 +333,29 @@ def _coords(word):
     return v
 
 
+# identity_mask works mod this prime.  It is below 2^30, so an entry of a
+# product of residue matrices, a sum of 8 products of residues, stays below
+# 8 (_PRIME - 1)^2 < 2^63 and int64 arithmetic cannot overflow.
+_PRIME = 1073741789
+
+
+@lru_cache(maxsize=None)
+def _residue_blocks(p):
+    """Right multiplication mod p by every block of zero to three letters,
+    as int64 matrices indexed by the code 81 a + 9 b + c of the block's
+    letters, a letter x coded as x mod 9 (5..8 for -4..-1) and 0 padding."""
+    import numpy as np
+
+    letters = np.empty((9, 8, 8), dtype=np.int64)
+    letters[0] = np.eye(8, dtype=np.int64)
+    for x in (1, 2, 3, 4, -1, -2, -3, -4):
+        letters[x % 9] = (_letter(x) % p).astype(np.int64)
+    pairs = np.einsum("aij,bjk->abik", letters, letters) % p
+    blocks = (np.einsum("abij,cjk->abcik", pairs, letters) % p).reshape(729, 8, 8)
+    blocks.flags.writeable = False  # one cached table for every caller
+    return blocks
+
+
 def _sign(x, y):
     """Sign of x + y sqrt 2 for integers x, y."""
     s = x if x * x > 2 * y * y else y
@@ -403,6 +441,34 @@ class FuchsianRep:
         Z[sqrt 2] coordinates with +-(1, 0, 0, 0)."""
         v = _coords(word)
         return v == _ONE or v == _MINUS_ONE
+
+    def identity_mask(self, words):
+        """[self.is_identity(w) for w in words], in one pass over the batch.
+
+        Reduction mod _PRIME is a ring map, so it commutes with the block
+        products: a word whose coordinates mod _PRIME are not
+        +-(1, 0, ..., 0) is not +-I.  The words that pass are decided by
+        is_identity, so every True is exact and no float enters."""
+        import numpy as np
+
+        p = _PRIME
+        blocks = _residue_blocks(p)
+        n = len(words)
+        lengths = np.fromiter(map(len, words), dtype=np.int64, count=n)
+        letters = np.fromiter(chain.from_iterable(words), dtype=np.int64,
+                              count=int(lengths.sum()))
+        bad = (letters == 0) | (np.abs(letters) > 4)
+        if bad.any():  # checked before coding, where 5 would alias -4
+            raise KeyError(abs(int(letters[bad.argmax()])))
+        steps = max(1, -(-int(lengths.max(initial=0)) // 3))
+        padded = np.zeros((n, 3 * steps), dtype=np.int64)
+        padded[np.arange(3 * steps) < lengths[:, None]] = letters % 9
+        codes = padded.reshape(n, steps, 3) @ np.array([81, 9, 1])
+        v = blocks[codes[:, 0], 0]
+        for k in range(1, steps):
+            v = np.einsum("ni,nij->nj", v, blocks[codes[:, k]]) % p
+        maybe = (v[:, 1:] == 0).all(axis=1) & ((v[:, 0] == 1) | (v[:, 0] == p - 1))
+        return [m and self.is_identity(w) for m, w in zip(maybe.tolist(), words)]
 
     def mobius(self, word):
         m = self.matrix(word)

@@ -12,9 +12,11 @@ from anosovlab.acceptance import (
     CRITERIA,
     criterion_01_fixed_point_identity,
     criterion_02_orbit_counting,
+    criterion_12_surface_group,
     run_all,
 )
 from anosovlab.exact import IntMatrix
+from anosovlab.surface import FuchsianRep
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +45,19 @@ def test_periodic_point_criteria_stay_in_integer_form(monkeypatch, criterion):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_criterion_12_fails_on_one_wrong_identity_answer(monkeypatch):
+    batch = FuchsianRep.identity_mask
+    flipped = []
+
+    def flip_first(self, words):
+        out = batch(self, words)
+        if not flipped:
+            flipped.append(True)
+            out[0] = not out[0]
+        return out
+
+    monkeypatch.setattr(FuchsianRep, "identity_mask", flip_first)
+    res = criterion_12_surface_group()
+    assert not res["pass"] and res["details"]["disagreements"] == 1

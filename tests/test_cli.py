@@ -1,17 +1,23 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import anosovlab.hyperbolic
+import anosovlab.surface
 from anosovlab import acceptance
 from anosovlab import cli
 from anosovlab.cli import (
     COMMANDS,
     CURVE_SAMPLES_LIMIT,
     KMAX_LIMIT,
+    MAX_NORM_LIMIT,
     POINTS_LIMIT,
     SAMPLES_LIMIT,
     TRIANGLE_K_LIMIT,
@@ -204,6 +210,41 @@ def test_forms_samples_limit_is_checked_at_parse_time(capsys):
         assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("error: argument --samples") == 3
+
+
+def test_max_norm_limit_is_checked_at_parse_time(capsys):
+    # both commands list every fiber up to --max-norm; only parsing runs here
+    for command, action in (("homology", "sh-torus"), ("chords", "fibers")):
+        parser = cli.build_parser(command=command)
+        argv = [command, action, "--matrix", "2 1 1 1", "--max-norm"]
+        assert parser.parse_args(argv + [str(MAX_NORM_LIMIT)]).max_norm == MAX_NORM_LIMIT
+        for bad in (MAX_NORM_LIMIT + 1, -1):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + [str(bad)])
+            assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: argument --max-norm") == 4
+
+
+def test_exhausted_class_key_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(anosovlab.surface, "CLASS_KEY_STATES", 8)
+    word = "a2b2A2B2B2A2b1a1b2A2B2a1a1B1A1b2A1b2a2B2B2A2b1a1"
+    for argv in (["homology", "sh-mcduff", "--classes", word],
+                 ["hw", "mcduff", "--gamma", word]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 8 cyclic words" in err
+
+
+def test_module_runs_from_a_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "anosovlab", "toral", "orbits",
+                          "--matrix", "2 1 1 1", "--N", "3"],
+                         capture_output=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["command"] == "toral orbits"
 
 
 def test_point_limit_is_exact(monkeypatch):

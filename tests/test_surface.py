@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anosovlab import surface
 from anosovlab.oracles import octagon_generators
 from anosovlab.surface import (
+    ClassKeyExhausted,
     ConjClass,
     FuchsianRep,
     NotHyperbolicElement,
@@ -96,6 +99,54 @@ def test_is_identity_matches_dehn_on_unreduced_words(p, q, u, rel):
     assert REP.is_identity(p + conj + invert_word(p))
     for w in (p, p + q, p + conj + q, conj + p):
         assert REP.is_identity(w) == PRES.is_trivial(w)
+
+
+# non-reduced words of every length mod 3, the empty word among them, and
+# conjugated relators
+MASK_WORDS = st.one_of(WORDS, st.builds(lambda u, rel: u + rel + invert_word(u),
+                                        WORDS, st.sampled_from(PRES.symmetrized)))
+
+
+# mod 2 the octagon group has 32 images, so about one word in 32 passes the
+# residue test without being +-I, and is_identity must refuse it
+@pytest.mark.parametrize("prime", [surface._PRIME, 2])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(words=st.lists(MASK_WORDS, max_size=8))
+def test_identity_mask_matches_is_identity(prime, words):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_PRIME", prime)
+        assert REP.identity_mask(words) == [REP.is_identity(w) for w in words]
+
+
+def test_identity_mask_confirms_residue_candidates(monkeypatch):
+    # a1^4 is 1 mod 2 but not 1; b1 is not 1 mod 2, so it is never confirmed
+    monkeypatch.setattr(surface, "_PRIME", 2)
+    confirmed = []
+    exact = FuchsianRep.is_identity
+    monkeypatch.setattr(FuchsianRep, "is_identity",
+                        lambda self, w: confirmed.append(w) or exact(self, w))
+    words = [(1,) * 4, (2,), PRES.relator]
+    assert REP.identity_mask(words) == [False, False, True]
+    assert confirmed == [(1,) * 4, PRES.relator]
+
+
+def test_residue_prime_keeps_int64_exact():
+    p = surface._PRIME
+    assert 8 * (p - 1) ** 2 < 2 ** 63
+    assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_identity_mask_edge_cases():
+    rel = PRES.relator
+    assert REP.identity_mask([]) == []
+    assert REP.identity_mask([(), rel[:1], rel[:2], rel[:3], rel + rel]) == \
+        [True, False, False, False, True]
+    # letters past 4 raise as in is_identity: 5 would code as -4 mod 9
+    for bad in ((5,), (1, 2, -5), (0,), (2, 9)):
+        with pytest.raises(KeyError):
+            REP.is_identity(bad)
+        with pytest.raises(KeyError):
+            REP.identity_mask([(1,), bad])
 
 
 def _oracle_product(word):
@@ -266,6 +317,20 @@ def test_class_key_conjugation_closed():
             u = _random_reduced(rng, 6)
             conj = free_reduce(u + base + invert_word(u))
             assert PRES.class_key(conj) == key
+
+
+# its class key runs out of words to visit after 1.3 s at the real limit
+LONG_CLASS = ("a2b2A2B2B2A2b1a1b2A2B2a1a1B1A1b2A1b2a2B2B2A2b1a1B2A2b1a1B2A2b1a1"
+              "B2A2b1a1a2B2A2b1A1B1a2b2a2b2A2B2B2A2b1a1")
+
+
+def test_class_key_refuses_an_exhausted_search(monkeypatch):
+    monkeypatch.setattr(surface, "CLASS_KEY_STATES", 8)
+    with pytest.raises(ClassKeyExhausted):
+        PRES.class_key(parse_word(LONG_CLASS))
+    # a class of one cyclic word is done at a limit of one
+    monkeypatch.setattr(surface, "CLASS_KEY_STATES", 1)
+    assert PRES.class_key(parse_word("b1a2A1")) == parse_word("A1b1a2")
 
 
 def test_class_key_orientation_distinct():
